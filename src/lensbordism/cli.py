@@ -14,7 +14,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
 from . import __version__
@@ -182,6 +181,16 @@ def _lemma5_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _lemma5_workers(requested: int, tasks: int, cpus: int) -> int:
+    """Worker processes for ``lemma5 --jobs requested`` over ``tasks`` primes.
+
+    ``requested`` 0 means one per core (``cpus``); any count is capped at the
+    number of tasks; a count of 1 runs in this process.  More workers
+    than cores are allowed on purpose, so the pool path can run anywhere.
+    """
+    return max(1, min(requested or cpus, tasks))
+
+
 def cmd_lemma5(ns) -> int:
     if not 5 <= ns.min <= ns.max:
         print(f"error: need 5 <= min <= max, got [{ns.min}, {ns.max}]", file=sys.stderr)
@@ -189,12 +198,18 @@ def cmd_lemma5(ns) -> int:
     if ns.brute_below < 0:
         print("error: --brute-below must be nonnegative", file=sys.stderr)
         return EXIT_USAGE
+    if ns.jobs < 0:
+        print("error: --jobs must be nonnegative", file=sys.stderr)
+        return EXIT_USAGE
     primes = [int(p) for p in primes_in_range(ns.min, ns.max)]
     tasks = [(p, ns.brute_below) for p in primes]
-    jobs = ns.jobs if ns.jobs > 0 else (os.cpu_count() or 1)
-    if jobs == 1 or len(tasks) < 2:
+    jobs = _lemma5_workers(ns.jobs, len(tasks), os.cpu_count() or 1)
+    if jobs == 1:
         results = [_lemma5_worker(t) for t in tasks]
     else:
+        # imported here so single-process runs do not pay for it
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(tasks) // (jobs * 4))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_lemma5_worker, tasks, chunksize=chunk))
@@ -500,7 +515,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--brute-below", type=int, default=31, dest="brute_below",
         help="cross-check primes up to this bound with the exhaustive oracle (default 31)",
     )
-    lemma5.add_argument("--jobs", type=int, default=1, help="worker processes (0 = all cores)")
+    lemma5.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes (0 = all cores; capped at the number of primes)",
+    )
     _add_output_options(lemma5)
     lemma5.set_defaults(handler=cmd_lemma5)
 

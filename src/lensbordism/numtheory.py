@@ -2,17 +2,19 @@
 
 Everything here is pure and deterministic: primality is decided by trial
 division (the target range is moduli up to 10**6), quadratic residuosity by
-raising to the power (p-1)/2, and the sum-of-three-unit-squares search always
-returns the lexicographically least witness so that downstream reports are
-reproducible bit for bit.
+raising to the power (p-1)/2 (Euler's criterion), and the
+sum-of-three-unit-squares search always returns the lexicographically least
+witness so that downstream reports are reproducible bit for bit.  That
+search keeps no per-prime state: each candidate remainder is tested with
+Euler's criterion and, when it is a square, one Tonelli-Shanks root gives
+both of its roots, so a call costs a few O(log p) modular powers per
+candidate rather than an O(p) table of square roots.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import ModulusMismatch, NotAUnit, RangeError, ZeroInput
 
@@ -173,13 +175,35 @@ def primes_in_range(lo: int, hi: int) -> list[PrimeModulus]:
     return [PrimeModulus(n) for n in range(lo, hi + 1) if sieve[n]]
 
 
-@lru_cache(maxsize=4)
-def _unit_square_roots(p: int) -> tuple[tuple[int, ...], ...]:
-    """roots[s] = ascending unit square roots of s mod p."""
-    roots: list[list[int]] = [[] for _ in range(p)]
-    for k in range(1, p):
-        roots[k * k % p].append(k)
-    return tuple(tuple(r) for r in roots)
+def _sqrt_mod(a: int, p: int) -> int:
+    """One square root of the nonzero quadratic residue a mod the odd prime p.
+
+    Tonelli-Shanks: write p - 1 = q * 2**s with q odd; the first guess
+    a**((q+1)/2) is corrected by powers of c = z**q, z a non-residue, until
+    the error term t = a**q has been walked down to 1.  When p = 3 mod 4
+    (s = 1) the first guess is already a root and no non-residue is needed.
+    """
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    r, t = pow(a, (q + 1) // 2, p), pow(a, q, p)
+    if t == 1:
+        return r
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    c, m = pow(z, q, p), s
+    while t != 1:
+        # least i with t**(2**i) == 1; i < m because t has order dividing 2**(m-1)
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        c = b * b % p
+        m, t, r = i, t * c % p, r * b % p
+    return r
 
 
 def sum_three_unit_squares(
@@ -190,6 +214,16 @@ def sum_three_unit_squares(
     Returns (t1, t2, t3) with t1**2 + t2**2 + t3**2 = target mod p and every
     ti invertible, or None when no such triple exists.  The restriction to
     units is what makes the triple usable as lens-space weights.
+
+    Candidates (t1, t2) with t1 <= t2 are taken in lexicographic order.  The
+    remainder s = target - t1**2 - t2**2 is skipped when it is 0 (t3 would
+    not be a unit) or fails Euler's criterion; otherwise its roots are r and
+    p - r for one Tonelli-Shanks root r, and t3 is the smaller of the two
+    that is at least t2.  Every unit triple reorders to t1 <= t2 <= t3 with
+    the same squares, so no triple is lost, and for fixed (t1, t2) the least
+    admissible t3 is the least triple with that prefix: the first hit is the
+    lexicographically least triple.  Each candidate costs one modular power
+    and, for residues, one square root of O(log p) powers; no table is built.
     """
     pp = int(p)
     if pp < 5:
@@ -197,17 +231,17 @@ def sum_three_unit_squares(
     if isinstance(target, ResidueClass) and target.modulus != pp:
         raise ModulusMismatch(f"target mod {target.modulus} vs p={pp}")
     t = int(target) % pp
-    roots = _unit_square_roots(pp)
-    # A valid triple containing any value below t1 would already have been
-    # found in sorted form at a smaller t1, so t1 <= t2 <= t3 loses nothing
-    # and the first hit is the lexicographically least triple overall.
+    half = (pp - 1) // 2
     for t1 in range(1, pp):
         s1 = (t - t1 * t1) % pp
         for t2 in range(t1, pp):
-            cand = roots[(s1 - t2 * t2) % pp]
-            if not cand:
+            s = (s1 - t2 * t2) % pp
+            if s == 0 or pow(s, half, pp) != 1:
                 continue
-            i = bisect_left(cand, t2)
-            if i < len(cand):
-                return (t1, t2, cand[i])
+            r = _sqrt_mod(s, pp)
+            lo = min(r, pp - r)
+            if lo >= t2:
+                return (t1, t2, lo)
+            if pp - lo >= t2:
+                return (t1, t2, pp - lo)
     return None

@@ -1,10 +1,14 @@
 """Tests for the command line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from lensbordism.cli import main
+from lensbordism.cli import _lemma5_workers, main
 
 
 def run(capsys, *args):
@@ -101,6 +105,23 @@ class TestLemma5:
         )
         assert code == 0
         assert serial == parallel
+
+    def test_negative_jobs_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "lemma5", "--min", "5", "--max", "13", "--jobs", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--jobs" in err
+
+    def test_worker_count(self):
+        # 0 means one per core; every count is capped at the number of primes
+        assert _lemma5_workers(1, 100, 8) == 1
+        assert _lemma5_workers(0, 100, 8) == 8
+        assert _lemma5_workers(0, 3, 8) == 3
+        assert _lemma5_workers(10**6, 5, 2) == 5
+        # more workers than cores stay allowed, so the pool path runs anywhere
+        assert _lemma5_workers(3, 100, 1) == 3
+        assert _lemma5_workers(4, 1, 2) == 1
+        assert _lemma5_workers(4, 0, 2) == 1
 
     def test_json_roundtrip(self, capsys):
         _, out, _ = run(
@@ -318,6 +339,18 @@ class TestFailurePolicy:
         captured = capsys.readouterr()
         assert code == 1
         assert "DISAGREE" in captured.out
+
+
+def test_import_does_not_load_process_pool():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = (
+        "import sys, lensbordism.cli; "
+        "sys.exit('concurrent.futures.process' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0
 
 
 def test_no_command_is_usage_error(capsys):

@@ -240,6 +240,21 @@ class TestFindGeneratorPair:
             expect_stage_one = not is_quadratic_residue((p + 1) // 2, pm)
             assert (res.stage == "i") == expect_stage_one
 
+    def test_stage_follows_reciprocity_predictor_up_to_20000(self):
+        # Stage i tests 3/6 = 1/2, so it wins exactly when (2/p) = -1, i.e.
+        # p = 3, 5 mod 8.  Stage ii tests 3/2; given (2/p) = 1 it wins exactly
+        # when (3/p) = -1, i.e. p = 5, 7 mod 12.  Stage iii takes the rest,
+        # and stage iv and the exhaustive scan are never reached.
+        for pm in primes_in_range(5, 20000):
+            p = int(pm)
+            if p % 8 in (3, 5):
+                expected = "i"
+            elif p % 12 in (5, 7):
+                expected = "ii"
+            else:
+                expected = "iii"
+            assert find_generator_pair(pm).stage == expected, p
+
     def test_small_p_rejected(self):
         with pytest.raises(ValueError):
             find_generator_pair(PrimeModulus(3))

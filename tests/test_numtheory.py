@@ -1,5 +1,6 @@
 """Tests for the modular arithmetic layer."""
 
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from lensbordism.errors import ModulusMismatch, NotAUnit, RangeError, ZeroInput
 from lensbordism.numtheory import (
     PrimeModulus,
     ResidueClass,
+    _sqrt_mod,
     is_prime,
     is_quadratic_residue,
     mod_inverse,
@@ -18,6 +20,26 @@ from lensbordism.numtheory import (
 )
 
 SMALL_PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+def _unit_square_roots(p):
+    """roots[s] = ascending unit square roots of s mod p."""
+    roots = [[] for _ in range(p)]
+    for k in range(1, p):
+        roots[k * k % p].append(k)
+    return roots
+
+
+def _sum_three_unit_squares_by_table(target, p, roots):
+    """Square-root-table oracle: for each (t1, t2), look the remainder up in
+    ``_unit_square_roots(p)`` and take the least root >= t2."""
+    for t1 in range(1, p):
+        for t2 in range(t1, p):
+            cand = roots[(target - t1 * t1 - t2 * t2) % p]
+            i = bisect_left(cand, t2)
+            if i < len(cand):
+                return (t1, t2, cand[i])
+    return None
 
 
 def test_is_prime_small():
@@ -200,3 +222,25 @@ class TestSumThreeUnitSquares:
                 t1, t2, t3 = triple
                 assert all(1 <= t < p for t in triple)
                 assert (t1 * t1 + t2 * t2 + t3 * t3) % p == target
+
+    def test_matches_square_root_table_up_to_1000(self):
+        for pm in primes_in_range(5, 1000):
+            p = int(pm)
+            roots = _unit_square_roots(p)
+            for target in range(p):
+                assert sum_three_unit_squares(target, pm) == (
+                    _sum_three_unit_squares_by_table(target, p, roots)
+                ), (p, target)
+
+
+class TestSqrtMod:
+    # p - 1 = 2**4, 2**5 * 3, 2**6 * 3, 2**8, 2**9 * 15, 2**16: Tonelli-Shanks
+    # walks its error term down through up to 16 squarings; 7919 = 3 mod 4
+    # takes the one-power shortcut.
+    @pytest.mark.parametrize("p", [17, 97, 193, 257, 7681, 65537, 7919])
+    def test_root_squares_back_for_every_residue(self, p):
+        for x in range(1, (p + 1) // 2):
+            a = x * x % p
+            r = _sqrt_mod(a, p)
+            assert 1 <= r < p
+            assert r * r % p == a
