@@ -106,10 +106,10 @@ def _odd_prime(p: int) -> PrimeModulus:
 
 
 def _lemma5_worker(task: tuple[int, int]) -> dict:
-    """Verify one prime; returns {'ok', 'p', 'entry'/'reason', ...}."""
+    """Verify one sieved prime; returns {'ok', 'p', 'entry'/'reason', ...}."""
     p, brute_below = task
     try:
-        result = find_generator_pair(PrimeModulus(p))
+        result = find_generator_pair(PrimeModulus._trusted(p))
     except SearchExhausted as exc:
         return {
             "ok": False,

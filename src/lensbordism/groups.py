@@ -7,12 +7,26 @@ with r = 0, since every congruence mod 1 holds vacuously).  This module
 validates triples, computes Sylow shapes (all cyclic in odd order), builds
 the n = 3 primitive-cube-root family, and enumerates all presentations up
 to a given order.
+
+The enumeration builds the admissible r instead of scanning every r < m.
+For odd m = prod p**e the condition forces gcd(n, m) = 1 and r != 1 mod
+each p.  The units mod p**e form a cyclic group of order p**(e-1) (p-1),
+so the r with r**n = 1 mod p**e are its unique subgroup of order
+d = gcd(n, p-1).  That subgroup has order prime to p, so reduction mod p
+is injective on it and 1 is its only element = 1 mod p: the local
+solutions are exactly its d - 1 nontrivial elements, and there are none
+for any n once some d is 1.  The Chinese remainder theorem combines the
+local solutions into the r mod m, and the least r of each cyclic subgroup
+<r> is kept.  The cost is output-sensitive: a smallest-prime-factor table
+of max_order + 1 entries per call, one factorisation from it for each of
+the O(max_order log max_order) pairs (m, n), and work proportional to the
+admissible r built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import EvenOrder, NoPrimitiveCubeRoot
 from .numtheory import is_prime
@@ -142,6 +156,67 @@ def _cyclic_span(r: int, m: int) -> frozenset[int]:
     return frozenset(span)
 
 
+def _smallest_prime_factors(limit: int) -> list[int]:
+    """spf[k] is the least prime factor of k, for 2 <= k <= limit."""
+    spf = list(range(limit + 1))
+    for q in range(2, isqrt(limit) + 1):
+        if spf[q] == q:
+            for k in range(q * q, limit + 1, q):
+                if spf[k] == k:
+                    spf[k] = q
+    return spf
+
+
+def _prime_powers(k: int, spf: list[int]) -> list[tuple[int, int]]:
+    """(p, p**e) for each prime power p**e exactly dividing k, p ascending."""
+    out = []
+    while k > 1:
+        p, q = spf[k], 1
+        while k % p == 0:
+            k //= p
+            q *= p
+        out.append((p, q))
+    return out
+
+
+def _local_roots(p: int, q: int, d: int, spf: list[int]) -> list[int]:
+    """The d - 1 nontrivial elements of the order-d subgroup of units mod
+    q = p**e, for d dividing p - 1."""
+    primes = [f for f, _ in _prime_powers(p - 1, spf)]
+    g = 2
+    while any(pow(g, (p - 1) // f, p) == 1 for f in primes):
+        g += 1
+    # g generates the units mod p; its power g**(p**(e-1)) has order
+    # exactly p - 1 mod q, whatever the order of g itself mod q.
+    t = pow(g, q // p, q)
+    h = pow(t, (p - 1) // d, q)
+    roots, x = [], h
+    for _ in range(d - 1):
+        roots.append(x)
+        x = x * h % q
+    return roots
+
+
+def _admissible_r(m: int, n: int, spf: list[int]) -> list[int]:
+    """All r in [0, m) with gcd((r-1)*n, m) = 1 and r**n = 1 mod m, ascending.
+
+    Built by the Chinese remainder theorem from the local roots of each
+    prime power exactly dividing m (see the module docstring); ``spf`` must
+    cover m.  For m = 1 this is [0].
+    """
+    roots, modulus = [0], 1
+    for p, q in _prime_powers(m, spf):
+        d = gcd(n, p - 1)
+        if n % p == 0 or d == 1:
+            return []
+        local = _local_roots(p, q, d, spf)
+        inv = pow(modulus, -1, q)
+        roots = [a + modulus * ((b - a) * inv % q) for a in roots for b in local]
+        modulus *= q
+    roots.sort()
+    return roots
+
+
 def enumerate_periodic_odd(max_order: int) -> list[MetacyclicParams]:
     """All odd-order presentations with m*n <= max_order, deduplicated.
 
@@ -150,9 +225,17 @@ def enumerate_periodic_odd(max_order: int) -> list[MetacyclicParams]:
     merge, not a complete isomorphism invariant: distinct keys may in
     principle still present isomorphic groups.  Output is sorted by
     (order, m, n, r).
+
+    The r for each (m, n) are built, not searched for: the units mod each
+    prime power p**e of m are cyclic, the solutions of r**n = 1 there are
+    the subgroup of order gcd(n, p-1), its nontrivial elements are exactly
+    the r != 1 mod p, and the Chinese remainder theorem combines them (the
+    module docstring gives the argument and the cost).  Every emitted
+    triple is still checked by ``MetacyclicParams``.
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
+    spf = _smallest_prime_factors(max_order)
     found: list[MetacyclicParams] = []
     for m in range(1, max_order + 1, 2):
         for n in range(1, max_order // m + 1, 2):
@@ -160,10 +243,7 @@ def enumerate_periodic_odd(max_order: int) -> list[MetacyclicParams]:
                 found.append(MetacyclicParams(1, n, 0))
                 continue
             seen: set[frozenset[int]] = set()
-            for r in range(m):
-                ok, _ = validate_metacyclic(m, n, r)
-                if not ok:
-                    continue
+            for r in _admissible_r(m, n, spf):
                 span = _cyclic_span(r, m)
                 if span in seen:
                     continue

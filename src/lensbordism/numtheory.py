@@ -45,6 +45,14 @@ class PrimeModulus:
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
+    @classmethod
+    def _trusted(cls, p: int) -> "PrimeModulus":
+        """A modulus for a p already known to be prime, such as a sieved
+        one; skips the trial-division check that construction runs."""
+        modulus = object.__new__(cls)
+        object.__setattr__(modulus, "p", p)
+        return modulus
+
     def __int__(self) -> int:
         return self.p
 
@@ -172,7 +180,7 @@ def primes_in_range(lo: int, hi: int) -> list[PrimeModulus]:
     for n in range(2, math.isqrt(hi) + 1):
         if sieve[n]:
             sieve[n * n :: n] = bytearray(len(range(n * n, hi + 1, n)))
-    return [PrimeModulus(n) for n in range(lo, hi + 1) if sieve[n]]
+    return [PrimeModulus._trusted(n) for n in range(lo, hi + 1) if sieve[n]]
 
 
 def _sqrt_mod(a: int, p: int) -> int:

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from lensbordism import cli
 from lensbordism.cli import _lemma5_workers, main
+from test_groups import _scan_periodic_odd
 
 
 def run(capsys, *args):
@@ -289,6 +291,15 @@ class TestGroups:
         report = json.loads(out)
         assert json.loads(json.dumps(report)) == report
         assert report["summary"]["failures"] == 0
+
+    def test_output_matches_direct_scan(self, capsys, monkeypatch):
+        args = [("groups", "--max-order", "600", "--format", fmt) for fmt in ("json", "csv", "text")]
+        built = [run(capsys, *a) for a in args]
+        scanned = _scan_periodic_odd(600)
+        monkeypatch.setattr(cli, "enumerate_periodic_odd", lambda max_order: scanned)
+        for a, b in zip(built, (run(capsys, *a) for a in args)):
+            assert a[0] == b[0] == 0
+            assert a[1] == b[1]
 
 
 class TestDeterminism:

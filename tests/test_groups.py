@@ -7,6 +7,8 @@ import pytest
 from lensbordism.errors import EvenOrder, NoPrimitiveCubeRoot
 from lensbordism.groups import (
     MetacyclicParams,
+    _admissible_r,
+    _smallest_prime_factors,
     d_pk3_params,
     enumerate_periodic_odd,
     group_order,
@@ -14,7 +16,34 @@ from lensbordism.groups import (
     theorem1_applies,
     validate_metacyclic,
 )
-from lensbordism.numtheory import primes_in_range
+from lensbordism.numtheory import is_prime, primes_in_range
+
+
+def _scan_periodic_odd(max_order):
+    """Direct-scan oracle for ``enumerate_periodic_odd``: validate every
+    r < m for every (m, n), keep the least r per cyclic subgroup <r>."""
+    found = []
+    for m in range(1, max_order + 1, 2):
+        for n in range(1, max_order // m + 1, 2):
+            if m == 1:
+                found.append(MetacyclicParams(1, n, 0))
+                continue
+            seen = set()
+            for r in range(m):
+                ok, _ = validate_metacyclic(m, n, r)
+                if not ok:
+                    continue
+                span, x = {1}, r
+                while x != 1:
+                    span.add(x)
+                    x = x * r % m
+                span = frozenset(span)
+                if span in seen:
+                    continue
+                seen.add(span)
+                found.append(MetacyclicParams(m, n, r))
+    found.sort(key=lambda g: (g.order, g.m, g.n, g.r))
+    return found
 
 
 class TestValidateMetacyclic:
@@ -166,3 +195,29 @@ class TestEnumeratePeriodicOdd:
     def test_bad_bound(self):
         with pytest.raises(ValueError):
             enumerate_periodic_odd(0)
+
+    def test_matches_direct_scan(self):
+        assert enumerate_periodic_odd(1501) == _scan_periodic_odd(1501)
+
+    def test_every_bound_is_a_prefix(self):
+        full = _scan_periodic_odd(200)
+        for bound in range(1, 201):
+            assert enumerate_periodic_odd(bound) == [g for g in full if g.order <= bound]
+
+
+def test_admissible_r_is_the_crt_of_local_roots():
+    # odd m <= 250 covers the prime powers 9, 27, 81, 243, 25, 125, 49, 121, 169
+    spf = _smallest_prime_factors(250)
+    for m in range(1, 251, 2):
+        primes = [p for p in range(3, m + 1, 2) if m % p == 0 and is_prime(p)]
+        for n in range(1, 46, 2):
+            got = _admissible_r(m, n, spf)
+            want = [
+                r for r in range(m)
+                if math.gcd((r - 1) * n, m) == 1 and pow(r, n, m) == 1 % m
+            ]
+            assert got == want, (m, n)
+            if math.gcd(n, m) == 1:
+                assert len(got) == math.prod(math.gcd(n, p - 1) - 1 for p in primes), (m, n)
+            else:
+                assert got == [], (m, n)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lensbordism import numtheory
 from lensbordism.errors import ModulusMismatch, NotAUnit, RangeError, ZeroInput
 from lensbordism.numtheory import (
     PrimeModulus,
@@ -59,6 +60,23 @@ def test_prime_modulus_rejects_composites():
         PrimeModulus(9)
     with pytest.raises(ValueError):
         PrimeModulus(1)
+
+
+def test_sieved_primes_are_not_checked_again(monkeypatch):
+    calls = []
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(numtheory, "is_prime", counting_is_prime)
+    primes = primes_in_range(5, 10_000)
+    assert calls == []
+    assert len(primes) == 1227
+    assert primes[:2] == [PrimeModulus(5), PrimeModulus(7)]
+    with pytest.raises(ValueError):
+        PrimeModulus(9)  # the public constructor still checks
+    assert calls == [5, 7, 9]
 
 
 class TestResidueClass:
