@@ -1,0 +1,133 @@
+"""Byte-for-byte golden outputs of every subcommand in every format.
+
+Each case runs ``cli.main`` in-process and compares stdout, stderr and the
+exit code with the files under ``tests/golden/``: ``<case>.out``,
+``<case>.err`` and the code in ``exit_codes.json``.  After a deliberate
+change of output, rewrite the files with ``python tests/test_golden.py``
+and review the diff.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+if __name__ == "__main__":
+    sys.path.insert(0, str(GOLDEN.parents[1] / "src"))
+
+from lensbordism import cli  # noqa: E402
+from lensbordism.errors import SearchExhausted  # noqa: E402
+from lensbordism.lens import TraceStep  # noqa: E402
+
+FORMATS = ("text", "csv", "json")
+
+SCENARIOS = {
+    "lemma5-200": ["lemma5", "--min", "5", "--max", "200"],
+    "lemma5-200-nobrute": ["lemma5", "--min", "5", "--max", "200", "--brute-below", "0"],
+    "lemma5-inverted": ["lemma5", "--min", "10", "--max", "9"],
+    "lemma5-exhausted": ["lemma5", "--min", "5", "--max", "13"],
+    "lemma5-disagree": ["lemma5", "--min", "5", "--max", "7"],
+    "invariants-13": ["invariants", "--p", "13", "--q", "2,3,4"],
+    "invariants-nonunit": ["invariants", "--p", "5", "--q", "1,1,5"],
+    "independent-brute": ["independent", "--p", "7", "--qa", "1,1,1", "--qb", "1,2,2", "--brute"],
+    "independent-dependent": ["independent", "--p", "5", "--qa", "1,1,1", "--qb", "1,1,1"],
+    "independent-disagree": ["independent", "--p", "5", "--qa", "1,1,1", "--qb", "1,1,2", "--brute"],
+    "orders-5-1": ["orders", "--p", "5", "--k", "1"],
+    "orders-5-2": ["orders", "--p", "5", "--k", "2"],
+    "orders-3-2": ["orders", "--p", "3", "--k", "2"],
+    "orders-9": ["orders", "--p", "9"],
+    "orders-d3-7": ["orders-d3", "--p", "7", "--k", "1"],
+    "orders-d3-5": ["orders-d3", "--p", "5"],
+    "groups-300": ["groups", "--max-order", "300"],
+    "groups-1": ["groups", "--max-order", "1"],
+    "groups-0": ["groups", "--max-order", "0"],
+}
+
+
+def _exhausted_at_7(real):
+    def fake(pm):
+        if int(pm) == 7:
+            raise SearchExhausted(7, [TraceStep("i", 3, 6, 3, False)])
+        return real(pm)
+
+    return fake
+
+
+# Cases that reach the failure paths (exit 1) by replacing one library call.
+PATCHES = {
+    "lemma5-exhausted": ("find_generator_pair", lambda: _exhausted_at_7(cli.find_generator_pair)),
+    "lemma5-disagree": ("independent_bruteforce", lambda: lambda a, b: False),
+    "independent-disagree": ("independent_bruteforce", lambda: lambda a, b: False),
+}
+
+CASES = {
+    f"{name}.{fmt}": (name, [*argv, "--format", fmt])
+    for name, argv in SCENARIOS.items()
+    for fmt in FORMATS
+}
+
+
+def run_case(case: str, extra: tuple[str, ...] = ()) -> tuple[str, str, int]:
+    """(stdout, stderr, exit code) of one case."""
+    name, argv = CASES[case]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        if name in PATCHES:
+            attr, make = PATCHES[name]
+            stack.enter_context(mock.patch.object(cli, attr, make()))
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        code = cli.main([*argv, *extra])
+    return out.getvalue(), err.getvalue(), code
+
+
+def _read(path: Path) -> str:
+    return path.read_bytes().decode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def exit_codes() -> dict[str, int]:
+    return json.loads(_read(GOLDEN / "exit_codes.json"))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_output(case, exit_codes):
+    out, err, code = run_case(case)
+    assert out == _read(GOLDEN / f"{case}.out")
+    assert err == _read(GOLDEN / f"{case}.err")
+    assert code == exit_codes[case]
+
+
+def test_golden_cases_complete(exit_codes):
+    files = {p.name for p in GOLDEN.iterdir()} - {"exit_codes.json"}
+    assert files == {f"{case}.{s}" for case in CASES for s in ("out", "err")}
+    assert set(exit_codes) == set(CASES)
+
+
+def test_out_file_holds_the_golden_stdout(tmp_path, exit_codes):
+    path = tmp_path / "report.csv"
+    out, err, code = run_case("lemma5-200.csv", ("--out", str(path)))
+    assert (out, err) == ("", "")
+    assert code == exit_codes["lemma5-200.csv"] == 0
+    assert path.read_bytes() == (GOLDEN / "lemma5-200.csv.out").read_bytes()
+
+
+def _write_golden() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    for case in sorted(CASES):
+        out, err, codes[case] = run_case(case)
+        (GOLDEN / f"{case}.out").write_bytes(out.encode("utf-8"))
+        (GOLDEN / f"{case}.err").write_bytes(err.encode("utf-8"))
+    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    _write_golden()
