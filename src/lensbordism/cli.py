@@ -1,9 +1,11 @@
 """Batch command line front end.
 
-Every subcommand wraps library operations and emits a deterministic report
-in text, CSV, or JSON; JSON output is always the object
-{version, command, params, entries, summary}.  Exit codes: 0 success,
-1 verification failure or oracle disagreement, 2 usage or input error.
+Each ``cmd_<name>`` handler only computes and returns a ``Report``; ``main``
+renders it once, with ``render``, as text, CSV or JSON.  JSON output is
+always the object {version, command, params, entries, summary}.  Input
+errors raise before any output and become one ``error:`` line.  Exit
+codes: 0 success, 1 verification failure or oracle disagreement, 2 usage
+or input error.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field
 
 from . import __version__
 from .errors import LensBordismError, SearchExhausted, Unspecified
@@ -49,40 +51,54 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 
-def _write_output(content: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(content)
+@dataclass
+class Report:
+    """What one subcommand computed: the JSON fields, the text lines, the CSV
+    header, the stderr lines (a dict is written as JSON) and the exit code.
+    A CSV row is an entry's values in order, each list spread over one
+    column per item, unless ``rows`` gives the rows."""
+
+    params: dict
+    entries: list[dict]
+    summary: dict
+    text: list[str]
+    fields: list[str]
+    rows: list[list] | None = None
+    stderr: list[str | dict] = field(default_factory=list)
+    code: int = EXIT_OK
+
+
+def render(report: Report, command: str, fmt: str) -> tuple[str, str]:
+    """The stdout content of ``command``'s report as ``fmt`` (text, csv or
+    json), and its stderr content."""
+    if fmt == "json":
+        data = {
+            "version": __version__,
+            "command": command,
+            "params": report.params,
+            "entries": report.entries,
+            "summary": report.summary,
+        }
+        out = json.dumps(data, indent=2) + "\n"
+    elif fmt == "csv":
+        rows = report.rows
+        if rows is None:
+            rows = [
+                [x for v in e.values() for x in (v if isinstance(v, list) else [v])]
+                for e in report.entries
+            ]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(report.fields)
+        writer.writerows(rows)
+        out = buf.getvalue()
     else:
-        sys.stdout.write(content)
-
-
-def _csv_content(fieldnames: list[str], rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _report(command: str, params: dict, entries: list[dict], summary: dict) -> dict:
-    return {
-        "version": __version__,
-        "command": command,
-        "params": params,
-        "entries": entries,
-        "summary": summary,
-    }
-
-
-def _emit(ns, report: dict, text: str, csv_fields: list[str], csv_rows: list[dict]) -> None:
-    if ns.format == "json":
-        content = json.dumps(report, indent=2) + "\n"
-    elif ns.format == "csv":
-        content = _csv_content(csv_fields, csv_rows)
-    else:
-        content = text
-    _write_output(content, ns.out)
+        out = "\n".join(report.text) + "\n"
+    err = "".join(
+        (line if isinstance(line, str) else json.dumps(line, indent=2)) + "\n"
+        for line in report.stderr
+    )
+    return out, err
 
 
 def _triple(text: str) -> tuple[int, int, int]:
@@ -99,6 +115,10 @@ def _odd_prime(p: int) -> PrimeModulus:
     if p % 2 == 0:
         raise ValueError(f"odd prime required, got {p}")
     return PrimeModulus(p)
+
+
+def _ints(values) -> str:
+    return ",".join(str(x) for x in values)
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +145,9 @@ def _lemma5_worker(task: tuple[int, int]) -> dict:
         "R": result.r,
         "stage": result.stage,
         "certificate": result.certificate,
-        "brute_checked": False,
+        "brute_checked": p <= brute_below,
     }
-    if p <= brute_below:
-        entry["brute_checked"] = True
+    if entry["brute_checked"]:
         pair_a = pontrjagin_pair(result.first)
         pair_b = pontrjagin_pair(result.second)
         if not (independent(pair_a, pair_b) and independent_bruteforce(pair_a, pair_b)):
@@ -141,46 +160,6 @@ def _lemma5_worker(task: tuple[int, int]) -> dict:
     return {"ok": True, "p": p, "entry": entry}
 
 
-_LEMMA5_CSV_FIELDS = [
-    "p", "qa1", "qa2", "qa3", "qb1", "qb2", "qb3",
-    "Q", "R", "stage", "certificate", "brute_checked",
-]
-
-
-def _lemma5_csv_rows(entries: list[dict]) -> list[dict]:
-    rows = []
-    for e in entries:
-        qa, qb = e["weights_a"], e["weights_b"]
-        rows.append({
-            "p": e["p"],
-            "qa1": qa[0], "qa2": qa[1], "qa3": qa[2],
-            "qb1": qb[0], "qb2": qb[1], "qb3": qb[2],
-            "Q": e["Q"], "R": e["R"], "stage": e["stage"],
-            "certificate": e["certificate"],
-            "brute_checked": e["brute_checked"],
-        })
-    return rows
-
-
-def _lemma5_text(report: dict) -> str:
-    lines = []
-    params = report["params"]
-    lines.append(f"generator pairs for primes in [{params['min']}, {params['max']}]")
-    for e in report["entries"]:
-        qa = ",".join(str(x) for x in e["weights_a"])
-        qb = ",".join(str(x) for x in e["weights_b"])
-        line = (
-            f"p={e['p']}  weights_a=({qa})  weights_b=({qb})  "
-            f"Q={e['Q']}  R={e['R']}  stage={e['stage']}  certificate={e['certificate']}"
-        )
-        if e["brute_checked"]:
-            line += "  [brute-checked]"
-        lines.append(line)
-    summary = report["summary"]
-    lines.append(f"primes_checked={summary['primes_checked']} failures={summary['failures']}")
-    return "\n".join(lines) + "\n"
-
-
 def _lemma5_workers(requested: int, tasks: int, cpus: int) -> int:
     """Worker processes for ``lemma5 --jobs requested`` over ``tasks`` primes.
 
@@ -191,16 +170,13 @@ def _lemma5_workers(requested: int, tasks: int, cpus: int) -> int:
     return max(1, min(requested or cpus, tasks))
 
 
-def cmd_lemma5(ns) -> int:
+def cmd_lemma5(ns) -> Report:
     if not 5 <= ns.min <= ns.max:
-        print(f"error: need 5 <= min <= max, got [{ns.min}, {ns.max}]", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"need 5 <= min <= max, got [{ns.min}, {ns.max}]")
     if ns.brute_below < 0:
-        print("error: --brute-below must be nonnegative", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--brute-below must be nonnegative")
     if ns.jobs < 0:
-        print("error: --jobs must be nonnegative", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--jobs must be nonnegative")
     primes = [int(p) for p in primes_in_range(ns.min, ns.max)]
     tasks = [(p, ns.brute_below) for p in primes]
     jobs = _lemma5_workers(ns.jobs, len(tasks), os.cpu_count() or 1)
@@ -213,83 +189,82 @@ def cmd_lemma5(ns) -> int:
         chunk = max(1, len(tasks) // (jobs * 4))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_lemma5_worker, tasks, chunksize=chunk))
-    results.sort(key=lambda r: r["p"])
     entries = [r["entry"] for r in results if r["ok"]]
     failures = [r for r in results if not r["ok"]]
-    report = _report(
-        "lemma5",
+    lines = [f"generator pairs for primes in [{ns.min}, {ns.max}]"]
+    for e in entries:
+        line = (
+            f"p={e['p']}  weights_a=({_ints(e['weights_a'])})  "
+            f"weights_b=({_ints(e['weights_b'])})  Q={e['Q']}  R={e['R']}  "
+            f"stage={e['stage']}  certificate={e['certificate']}"
+        )
+        if e["brute_checked"]:
+            line += "  [brute-checked]"
+        lines.append(line)
+    lines.append(f"primes_checked={len(primes)} failures={len(failures)}")
+    stderr: list[str | dict] = []
+    for failure in failures:
+        stderr += [f"FAILURE p={failure['p']}: {failure['reason']}", failure]
+    return Report(
         {"min": ns.min, "max": ns.max, "brute_below": ns.brute_below},
         entries,
         {"primes_checked": len(primes), "failures": len(failures)},
+        lines,
+        [
+            "p", "qa1", "qa2", "qa3", "qb1", "qb2", "qb3",
+            "Q", "R", "stage", "certificate", "brute_checked",
+        ],
+        stderr=stderr,
+        code=EXIT_FAILURE if failures else EXIT_OK,
     )
-    _emit(ns, report, _lemma5_text(report), _LEMMA5_CSV_FIELDS, _lemma5_csv_rows(entries))
-    for failure in failures:
-        print(f"FAILURE p={failure['p']}: {failure['reason']}", file=sys.stderr)
-        print(json.dumps(failure, indent=2), file=sys.stderr)
-    return EXIT_FAILURE if failures else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # invariants: Q, normalized pair and canonical form of one lens space
 
 
-_INVARIANTS_CSV_FIELDS = ["p", "q1", "q2", "q3", "Q", "beta0", "beta1", "canonical0", "canonical1"]
-
-
-def cmd_invariants(ns) -> int:
+def cmd_invariants(ns) -> Report:
     p = _odd_prime(ns.p)
     lens = LensSpace(p, ns.q)
     slope = int(q_sum(lens))
     pair = pontrjagin_pair(lens)
-    canon = canonical_form(pair)
+    canon = list(canonical_form(pair).values())
+    pair = list(pair.values())
     entry = {
         "p": ns.p,
         "weights": list(lens.weight_values()),
         "Q": slope,
-        "pair": list(pair.values()),
-        "canonical": list(canon.values()),
+        "pair": pair,
+        "canonical": canon,
     }
-    report = _report(
-        "invariants",
+    lines = [
+        f"p={ns.p} weights=({_ints(entry['weights'])})",
+        f"Q = {slope}",
+        f"pair = ({pair[0]}, {pair[1]})",
+        f"canonical = ({canon[0]}, {canon[1]})",
+    ]
+    return Report(
         {"p": ns.p, "q": list(ns.q)},
         [entry],
         {"failures": 0},
+        lines,
+        ["p", "q1", "q2", "q3", "Q", "beta0", "beta1", "canonical0", "canonical1"],
     )
-    w = ",".join(str(x) for x in entry["weights"])
-    text = (
-        f"p={ns.p} weights=({w})\n"
-        f"Q = {slope}\n"
-        f"pair = ({entry['pair'][0]}, {entry['pair'][1]})\n"
-        f"canonical = ({entry['canonical'][0]}, {entry['canonical'][1]})\n"
-    )
-    rows = [{
-        "p": ns.p,
-        "q1": entry["weights"][0], "q2": entry["weights"][1], "q3": entry["weights"][2],
-        "Q": slope,
-        "beta0": entry["pair"][0], "beta1": entry["pair"][1],
-        "canonical0": entry["canonical"][0], "canonical1": entry["canonical"][1],
-    }]
-    _emit(ns, report, text, _INVARIANTS_CSV_FIELDS, rows)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # independent: verdict for two weight triples, optionally oracle-checked
 
 
-_INDEPENDENT_CSV_FIELDS = [
-    "p", "qa1", "qa2", "qa3", "qb1", "qb2", "qb3", "Q", "R",
-    "independent", "oracle", "agree",
-]
-
-
-def cmd_independent(ns) -> int:
+def cmd_independent(ns) -> Report:
     p = _odd_prime(ns.p)
     lens_a = LensSpace(p, ns.qa)
     lens_b = LensSpace(p, ns.qb)
     pair_a = pontrjagin_pair(lens_a)
     pair_b = pontrjagin_pair(lens_b)
     verdict = independent(pair_a, pair_b)
+    oracle = independent_bruteforce(pair_a, pair_b) if ns.brute else None
+    agree = None if oracle is None else oracle == verdict
     entry = {
         "p": ns.p,
         "weights_a": list(lens_a.weight_values()),
@@ -297,60 +272,40 @@ def cmd_independent(ns) -> int:
         "Q": int(q_sum(lens_a)),
         "R": int(q_sum(lens_b)),
         "independent": verdict,
-        "oracle": None,
-        "agree": None,
+        "oracle": oracle,
+        "agree": agree,
     }
-    failures = 0
+    lines = [
+        f"p={ns.p}",
+        f"A: weights=({_ints(entry['weights_a'])}) Q={entry['Q']}",
+        f"B: weights=({_ints(entry['weights_b'])}) R={entry['R']}",
+        f"verdict: {'independent' if verdict else 'dependent'}",
+    ]
     if ns.brute:
-        oracle = independent_bruteforce(pair_a, pair_b)
-        entry["oracle"] = oracle
-        entry["agree"] = oracle == verdict
-        if oracle != verdict:
-            failures = 1
-    report = _report(
-        "independent",
+        lines.append(
+            f"oracle: {'independent' if oracle else 'dependent'} "
+            f"({'agree' if agree else 'DISAGREE'})"
+        )
+    failures = int(agree is False)
+    return Report(
         {"p": ns.p, "qa": list(ns.qa), "qb": list(ns.qb), "brute": bool(ns.brute)},
         [entry],
         {"failures": failures},
+        lines,
+        [
+            "p", "qa1", "qa2", "qa3", "qb1", "qb2", "qb3", "Q", "R",
+            "independent", "oracle", "agree",
+        ],
+        stderr=["error: oracle disagreement (implementation bug trap)"] if failures else [],
+        code=EXIT_FAILURE if failures else EXIT_OK,
     )
-    word = "independent" if verdict else "dependent"
-    lines = [
-        f"p={ns.p}",
-        f"A: weights=({','.join(map(str, entry['weights_a']))}) Q={entry['Q']}",
-        f"B: weights=({','.join(map(str, entry['weights_b']))}) R={entry['R']}",
-        f"verdict: {word}",
-    ]
-    if ns.brute:
-        oracle_word = "independent" if entry["oracle"] else "dependent"
-        lines.append(
-            f"oracle: {oracle_word} ({'agree' if entry['agree'] else 'DISAGREE'})"
-        )
-    text = "\n".join(lines) + "\n"
-    rows = [{
-        "p": ns.p,
-        "qa1": entry["weights_a"][0], "qa2": entry["weights_a"][1], "qa3": entry["weights_a"][2],
-        "qb1": entry["weights_b"][0], "qb2": entry["weights_b"][1], "qb3": entry["weights_b"][2],
-        "Q": entry["Q"], "R": entry["R"],
-        "independent": verdict, "oracle": entry["oracle"], "agree": entry["agree"],
-    }]
-    _emit(ns, report, text, _INDEPENDENT_CSV_FIELDS, rows)
-    if failures:
-        print("error: oracle disagreement (implementation bug trap)", file=sys.stderr)
-        return EXIT_FAILURE
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # orders / orders-d3: order formulas for cyclic and metacyclic groups
 
 
-_ORDERS_CSV_FIELDS = [
-    "p", "k", "bordism_order", "lens_class_order", "group_structure",
-    "extension_order_check", "non_splitness",
-]
-
-
-def cmd_orders(ns) -> int:
+def cmd_orders(ns) -> Report:
     p, k = ns.p, ns.k
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -364,15 +319,23 @@ def cmd_orders(ns) -> int:
         structure: str = str(group_structure_cyclic(p, k))
     except Unspecified:
         structure = "unspecified"
+    lines = [
+        f"p={p} k={k}",
+        f"bordism order: {order}",
+        f"lens class order: {lens_order}",
+        f"group structure: {structure}",
+    ]
     extension: bool | str | None = None
     non_split: bool | str | None = None
-    if k >= 2:
-        if p >= 5:
-            extension = extension_order_check(p, k)
-            non_split = non_splitness_witness(p, k)
-        else:
-            extension = "unspecified"
-            non_split = "unspecified"
+    if k >= 2 and p >= 5:
+        extension = extension_order_check(p, k)
+        non_split = non_splitness_witness(p, k)
+        lines.append(f"extension order check: {'ok' if extension else 'FAILED'}")
+        lines.append(f"non-split extension: {'yes' if non_split else 'no'}")
+    elif k >= 2:
+        extension = non_split = "unspecified"
+        lines.append("extension order check: unspecified")
+        lines.append("non-split extension: unspecified")
     entry = {
         "p": p,
         "k": k,
@@ -382,34 +345,10 @@ def cmd_orders(ns) -> int:
         "extension_order_check": extension,
         "non_splitness": non_split,
     }
-    report = _report("orders", {"p": p, "k": k}, [entry], {"failures": 0})
-    lines = [
-        f"p={p} k={k}",
-        f"bordism order: {order}",
-        f"lens class order: {lens_order}",
-        f"group structure: {structure}",
-    ]
-    if extension is not None:
-        lines.append(f"extension order check: {_flag(extension)}")
-        if non_split == "unspecified":
-            lines.append("non-split extension: unspecified")
-        else:
-            lines.append(f"non-split extension: {'yes' if non_split else 'no'}")
-    text = "\n".join(lines) + "\n"
-    _emit(ns, report, text, _ORDERS_CSV_FIELDS, [entry])
-    return EXIT_OK
+    return Report({"p": p, "k": k}, [entry], {"failures": 0}, lines, list(entry))
 
 
-def _flag(value) -> str:
-    if value == "unspecified":
-        return "unspecified"
-    return "ok" if value else "FAILED"
-
-
-_ORDERS_D3_CSV_FIELDS = ["p", "k", "m", "n", "r", "group_order", "bordism_order", "cyclic"]
-
-
-def cmd_orders_d3(ns) -> int:
+def cmd_orders_d3(ns) -> Report:
     if ns.k < 1:
         raise ValueError(f"k must be at least 1, got {ns.k}")
     params = d_pk3_params(ns.p, ns.k)
@@ -424,73 +363,53 @@ def cmd_orders_d3(ns) -> int:
         "bordism_order": order,
         "cyclic": True,
     }
-    report = _report("orders-d3", {"p": ns.p, "k": ns.k}, [entry], {"failures": 0})
-    text = (
-        f"p={ns.p} k={ns.k}\n"
-        f"group: m={params.m} n={params.n} r={params.r} (order {group_order(params)})\n"
-        f"bordism order: {order} (cyclic)\n"
-    )
-    _emit(ns, report, text, _ORDERS_D3_CSV_FIELDS, [entry])
-    return EXIT_OK
+    lines = [
+        f"p={ns.p} k={ns.k}",
+        f"group: m={params.m} n={params.n} r={params.r} (order {entry['group_order']})",
+        f"bordism order: {order} (cyclic)",
+    ]
+    return Report({"p": ns.p, "k": ns.k}, [entry], {"failures": 0}, lines, list(entry))
 
 
 # ---------------------------------------------------------------------------
 # groups: enumeration of odd-order presentations
 
 
-_GROUPS_CSV_FIELDS = ["order", "m", "n", "r", "sylow", "theorem1_applies"]
-
-
-def cmd_groups(ns) -> int:
+def cmd_groups(ns) -> Report:
     groups = enumerate_periodic_odd(ns.max_order)
     entries = []
+    lines = [f"odd-order presentations with order <= {ns.max_order}"]
+    rows = []
     for g in groups:
-        sylow = sylow_structure(g)
+        sylow = sylow_structure(g).entries
+        order = group_order(g)
+        applies = theorem1_applies(g)
         entries.append({
             "m": g.m,
             "n": g.n,
             "r": g.r,
-            "order": group_order(g),
-            "sylow": [
-                {"prime": q, "order": o, "shape": shape}
-                for q, o, shape in sylow.entries
-            ],
-            "theorem1_applies": theorem1_applies(g),
+            "order": order,
+            "sylow": [{"prime": q, "order": o, "shape": shape} for q, o, shape in sylow],
+            "theorem1_applies": applies,
         })
-    report = _report(
-        "groups",
+        lines.append(
+            f"order={order} m={g.m} n={g.n} r={g.r} "
+            f"sylow={','.join(f'{q}:{o}' for q, o, _ in sylow) or '-'} "
+            f"theorem1={'yes' if applies else 'no'}"
+        )
+        rows.append([order, g.m, g.n, g.r, ";".join(f"{q}:{o}" for q, o, _ in sylow), applies])
+    lines.append(f"groups_listed={len(entries)}")
+    return Report(
         {"max_order": ns.max_order},
         entries,
         {"groups_listed": len(entries), "failures": 0},
+        lines,
+        ["order", "m", "n", "r", "sylow", "theorem1_applies"],
+        rows=rows,
     )
-    lines = [f"odd-order presentations with order <= {ns.max_order}"]
-    for e in entries:
-        sylow_txt = ",".join(f"{s['prime']}:{s['order']}" for s in e["sylow"])
-        flag = "yes" if e["theorem1_applies"] else "no"
-        lines.append(
-            f"order={e['order']} m={e['m']} n={e['n']} r={e['r']} "
-            f"sylow={sylow_txt or '-'} theorem1={flag}"
-        )
-    lines.append(f"groups_listed={len(entries)}")
-    text = "\n".join(lines) + "\n"
-    rows = [
-        {
-            "order": e["order"], "m": e["m"], "n": e["n"], "r": e["r"],
-            "sylow": ";".join(f"{s['prime']}:{s['order']}" for s in e["sylow"]),
-            "theorem1_applies": e["theorem1_applies"],
-        }
-        for e in entries
-    ]
-    _emit(ns, report, text, _GROUPS_CSV_FIELDS, rows)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-
-
-def _add_output_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    sub.add_argument("--out", metavar="FILE", default=None, help="write to FILE instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -519,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1,
         help="worker processes (0 = all cores; capped at the number of primes)",
     )
-    _add_output_options(lemma5)
     lemma5.set_defaults(handler=cmd_lemma5)
 
     invariants = sub.add_parser(
@@ -527,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     invariants.add_argument("--p", type=int, required=True)
     invariants.add_argument("--q", type=_triple, required=True, metavar="a,b,c")
-    _add_output_options(invariants)
     invariants.set_defaults(handler=cmd_invariants)
 
     indep = sub.add_parser(
@@ -537,13 +454,11 @@ def build_parser() -> argparse.ArgumentParser:
     indep.add_argument("--qa", type=_triple, required=True, metavar="a,b,c")
     indep.add_argument("--qb", type=_triple, required=True, metavar="a,b,c")
     indep.add_argument("--brute", action="store_true", help="also run the exhaustive oracle")
-    _add_output_options(indep)
     indep.set_defaults(handler=cmd_independent)
 
     orders = sub.add_parser("orders", help="bordism orders over a cyclic group of order p**k")
     orders.add_argument("--p", type=int, required=True)
     orders.add_argument("--k", type=int, default=1)
-    _add_output_options(orders)
     orders.set_defaults(handler=cmd_orders)
 
     orders_d3 = sub.add_parser(
@@ -551,14 +466,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     orders_d3.add_argument("--p", type=int, required=True)
     orders_d3.add_argument("--k", type=int, default=1)
-    _add_output_options(orders_d3)
     orders_d3.set_defaults(handler=cmd_orders_d3)
 
     groups = sub.add_parser("groups", help="enumerate odd-order presentations up to a bound")
     groups.add_argument("--max-order", type=int, required=True, dest="max_order")
-    _add_output_options(groups)
     groups.set_defaults(handler=cmd_groups)
 
+    for command in sub.choices.values():
+        command.add_argument("--format", choices=("text", "csv", "json"), default="text")
+        command.add_argument(
+            "--out", metavar="FILE", default=None, help="write to FILE instead of stdout"
+        )
     return parser
 
 
@@ -569,10 +487,18 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return ns.handler(ns)
+        report = ns.handler(ns)
     except (LensBordismError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    out, err = render(report, ns.command, ns.format)
+    if ns.out:
+        with open(ns.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(out)
+    else:
+        sys.stdout.write(out)
+    sys.stderr.write(err)
+    return report.code
 
 
 if __name__ == "__main__":
