@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import EvenOrder, NoPrimitiveCubeRoot
-from .numtheory import is_prime
+from .numtheory import _factorize, is_prime
 
 
 def validate_metacyclic(m: int, n: int, r: int) -> tuple[bool, str | None]:
@@ -97,19 +97,6 @@ class SylowDescriptor:
         return total
 
 
-def _factorize(n: int) -> dict[int, int]:
-    factors: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
-
-
 def sylow_structure(params: MetacyclicParams) -> SylowDescriptor:
     """Sylow shapes of an odd-order metacyclic group: all cyclic.
 
@@ -121,7 +108,7 @@ def sylow_structure(params: MetacyclicParams) -> SylowDescriptor:
     if order % 2 == 0:
         raise EvenOrder(f"order {order} is even; only odd order is encoded")
     entries = tuple(
-        (q, q**e, "cyclic") for q, e in sorted(_factorize(order).items())
+        (q, q**e, "cyclic") for q, e in _factorize(order).items()
     )
     return SylowDescriptor(entries)
 

@@ -256,13 +256,17 @@ def find_generator_pair(p: PrimeModulus) -> GeneratorPairResult:
     """Two lens spaces mod p whose invariant pairs are independent.
 
     Staged search: (i) Q=3, R=6, realized by weights (1,1,1) and (1,1,2);
-    (ii) Q=3, R=2; (iii) Q = 2*inv2 + j**2 with R=2 for j = 1, 2, ...,
-    where inv2 is the inverse of 2; (iv) the Q = 0 candidates arising in
-    that sweep, which succeed with any realizable nonzero R.  If the staged
-    sweep is exhausted, an exhaustive scan over all (Q, R) realizable by
-    unit triples runs before giving up.  Every attempt is recorded in the
-    proof trace; ``SearchExhausted`` would exhibit a counterexample to the
-    generator-pair property and is not expected to be reachable.
+    (ii) Q=3, R=2; (iii) Q = 2*inv2 + j**2 = 1 + j**2 with R=2 for j = 1,
+    2, ..., where inv2 is the inverse of 2; (iv) the Q = 0 candidates
+    arising in that sweep, which succeed with any realizable nonzero R.
+    Every attempt is recorded in the proof trace.  The sweep always returns,
+    so ``SearchExhausted`` is only a guard: every residue is a sum of three
+    unit squares for p >= 7 (every nonzero one at p = 5), so a candidate
+    fails only on dependence; stage i wins exactly when (2/p) = -1, as at
+    p = 5, so the sweep runs only when (2/p) = 1 and p >= 7; there Q = 0 or
+    a non-residue Q wins, and counting the p - 1 points of the conic
+    y**2 - x**2 = 1 shows that at least (p - (-1/p))/2 values of j in
+    [1, p-1] make 1 + j**2 a non-residue.
     """
     pp = int(p)
     if pp < 5:
@@ -303,9 +307,4 @@ def find_generator_pair(p: PrimeModulus) -> GeneratorPairResult:
         result = attempt("iv" if qv == 0 else "iii", qv, 2)
         if result is not None:
             return result
-    for qv in range(pp):
-        for rv in range(pp):
-            result = attempt("exhaustive", qv, rv)
-            if result is not None:
-                return result
     raise SearchExhausted(pp, trace)

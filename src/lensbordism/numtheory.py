@@ -169,6 +169,21 @@ def is_quadratic_residue(a: int | ResidueClass, p: PrimeModulus) -> bool:
     return pow(v, (pp - 1) // 2, pp) == 1
 
 
+def _factorize(n: int) -> dict[int, int]:
+    """{prime: exponent} for n by trial division, primes ascending; empty
+    for n <= 1."""
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
 def primes_in_range(lo: int, hi: int) -> list[PrimeModulus]:
     """All primes in [lo, hi], ascending."""
     if lo > hi:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import EvenModulus, NoSuchGroup, Unspecified
-from .numtheory import is_prime
+from .numtheory import _factorize, is_prime
 
 _MAX_INT = 2**63 - 1
 
@@ -99,24 +99,6 @@ class E2Diagonal:
         return total
 
 
-def _is_odd_prime_power(n: int) -> bool:
-    if n < 3 or n % 2 == 0:
-        return False
-    p = _least_prime_factor(n)
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
-def _least_prime_factor(n: int) -> int:
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 2
-    return n
-
-
 def e2_diagonal(n: int) -> E2Diagonal:
     """Total-degree-5 second-page diagonal for an odd prime power n.
 
@@ -126,7 +108,7 @@ def e2_diagonal(n: int) -> E2Diagonal:
     """
     if n % 2 == 0:
         raise EvenModulus(f"{n} is even; only odd-order groups are encoded")
-    if not _is_odd_prime_power(n):
+    if len(_factorize(n)) != 1:
         raise ValueError(f"odd prime power required, got {n}")
     terms = tuple(
         (r, 5 - r, _reduced_homology_order(r, n, SPIN_COEFFICIENTS.group(5 - r)))

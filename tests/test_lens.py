@@ -244,7 +244,7 @@ class TestFindGeneratorPair:
         # Stage i tests 3/6 = 1/2, so it wins exactly when (2/p) = -1, i.e.
         # p = 3, 5 mod 8.  Stage ii tests 3/2; given (2/p) = 1 it wins exactly
         # when (3/p) = -1, i.e. p = 5, 7 mod 12.  Stage iii takes the rest,
-        # and stage iv and the exhaustive scan are never reached.
+        # and stage iv is never reached.
         for pm in primes_in_range(5, 20000):
             p = int(pm)
             if p % 8 in (3, 5):

@@ -11,6 +11,7 @@ from lensbordism.errors import ModulusMismatch, NotAUnit, RangeError, ZeroInput
 from lensbordism.numtheory import (
     PrimeModulus,
     ResidueClass,
+    _factorize,
     _sqrt_mod,
     is_prime,
     is_quadratic_residue,
@@ -77,6 +78,18 @@ def test_sieved_primes_are_not_checked_again(monkeypatch):
     with pytest.raises(ValueError):
         PrimeModulus(9)  # the public constructor still checks
     assert calls == [5, 7, 9]
+
+
+def test_factorize_rebuilds_n_from_ascending_primes():
+    assert _factorize(1) == {} and _factorize(0) == {}
+    assert _factorize(2 * 3**4 * 7 * 7919**2) == {2: 1, 3: 4, 7: 1, 7919: 2}
+    for n in range(2, 3000):
+        factors = _factorize(n)
+        assert list(factors) == sorted(factors) and all(is_prime(q) for q in factors)
+        product = 1
+        for q, e in factors.items():
+            product *= q**e
+        assert product == n
 
 
 class TestResidueClass:
@@ -240,6 +253,15 @@ class TestSumThreeUnitSquares:
                 t1, t2, t3 = triple
                 assert all(1 <= t < p for t in triple)
                 assert (t1 * t1 + t2 * t2 + t3 * t3) % p == target
+
+    def test_every_residue_is_a_sum_of_three_unit_squares(self):
+        # The premise under which lens.find_generator_pair's sweep always
+        # returns: every residue for p >= 7, every nonzero one for p = 5.
+        pm5 = PrimeModulus(5)
+        assert [t for t in range(5) if sum_three_unit_squares(t, pm5) is None] == [0]
+        for pm in primes_in_range(7, 1000):
+            missing = [t for t in range(int(pm)) if sum_three_unit_squares(t, pm) is None]
+            assert missing == [], int(pm)
 
     def test_matches_square_root_table_up_to_1000(self):
         for pm in primes_in_range(5, 1000):
