@@ -114,6 +114,19 @@ class TestLemma5:
         assert out == ""
         assert "--jobs" in err
 
+    def test_max_above_cap_is_input_error(self, capsys, monkeypatch):
+        def no_sieve(lo, hi):
+            raise AssertionError("sieve allocated")
+
+        monkeypatch.setattr(cli, "primes_in_range", no_sieve)
+        over = str(cli.LEMMA5_MAX + 1)
+        code, out, err = run(capsys, "lemma5", "--min", "5", "--max", over)
+        assert (code, out) == (2, "")
+        assert err == f"error: --max must be at most {cli.LEMMA5_MAX}, got {over}\n"
+        monkeypatch.setattr(cli, "primes_in_range", lambda lo, hi: [])
+        at_cap = str(cli.LEMMA5_MAX)
+        assert run(capsys, "lemma5", "--min", "999990", "--max", at_cap)[0] == 0
+
     def test_worker_count(self):
         # 0 means one per core; every count is capped at the number of primes
         assert _lemma5_workers(1, 100, 8) == 1
@@ -285,6 +298,18 @@ class TestGroups:
     def test_zero_bound_is_input_error(self, capsys):
         code, _, _ = run(capsys, "groups", "--max-order", "0")
         assert code == 2
+
+    def test_max_order_above_cap_is_input_error(self, capsys, monkeypatch):
+        def no_table(max_order):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(cli, "enumerate_periodic_odd", no_table)
+        over = str(cli.GROUPS_MAX_ORDER + 1)
+        code, out, err = run(capsys, "groups", "--max-order", over)
+        assert (code, out) == (2, "")
+        assert err == f"error: --max-order must be at most {cli.GROUPS_MAX_ORDER}, got {over}\n"
+        monkeypatch.setattr(cli, "enumerate_periodic_odd", lambda max_order: [])
+        assert run(capsys, "groups", "--max-order", str(cli.GROUPS_MAX_ORDER))[0] == 0
 
     def test_json_roundtrip(self, capsys):
         _, out, _ = run(capsys, "groups", "--max-order", "60", "--format", "json")
