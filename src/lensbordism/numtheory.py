@@ -180,7 +180,7 @@ def _factorize(n: int) -> dict[int, int]:
             n //= d
         d += 1 if d == 2 else 2
     if n > 1:
-        factors[n] = factors.get(n, 0) + 1
+        factors[n] = 1
     return factors
 
 
