@@ -231,22 +231,19 @@ def cmd_lemma5(ns) -> Report:
 def cmd_invariants(ns) -> Report:
     p = _odd_prime(ns.p)
     lens = LensSpace(p, ns.q)
-    slope = int(q_sum(lens))
     pair = pontrjagin_pair(lens)
-    canon = list(canonical_form(pair).values())
-    pair = list(pair.values())
     entry = {
         "p": ns.p,
         "weights": list(lens.weight_values()),
-        "Q": slope,
-        "pair": pair,
-        "canonical": canon,
+        "Q": int(q_sum(lens)),
+        "pair": list(pair.values()),
+        "canonical": list(canonical_form(pair).values()),
     }
     lines = [
         f"p={ns.p} weights=({','.join(map(str, entry['weights']))})",
-        f"Q = {slope}",
-        f"pair = ({pair[0]}, {pair[1]})",
-        f"canonical = ({canon[0]}, {canon[1]})",
+        f"Q = {entry['Q']}",
+        f"pair = ({entry['pair'][0]}, {entry['pair'][1]})",
+        f"canonical = ({entry['canonical'][0]}, {entry['canonical'][1]})",
     ]
     return Report(
         {"p": ns.p, "q": list(ns.q)},
