@@ -56,6 +56,10 @@ EXIT_USAGE = 2
 # on a 2-core machine (Python 3.11).
 LEMMA5_MAX = 10**6
 GROUPS_MAX_ORDER = 10**5
+# Largest `--p` accepted with `independent --brute`: the oracle is O(p**2)
+# and took 6.6 s for an independent pair at p = 5003 on the same machine,
+# about the run time at the two caps above.
+BRUTE_MAX_P = 5000
 
 
 @dataclass
@@ -259,6 +263,8 @@ def cmd_invariants(ns) -> Report:
 
 
 def cmd_independent(ns) -> Report:
+    if ns.brute and ns.p > BRUTE_MAX_P:
+        raise ValueError(f"--brute needs --p at most {BRUTE_MAX_P}, got {ns.p}")
     p = _odd_prime(ns.p)
     lens_a = LensSpace(p, ns.qa)
     lens_b = LensSpace(p, ns.qb)
@@ -457,7 +463,10 @@ def build_parser() -> argparse.ArgumentParser:
     indep.add_argument("--p", type=int, required=True)
     indep.add_argument("--qa", type=_triple, required=True, metavar="a,b,c")
     indep.add_argument("--qb", type=_triple, required=True, metavar="a,b,c")
-    indep.add_argument("--brute", action="store_true", help="also run the exhaustive oracle")
+    indep.add_argument(
+        "--brute", action="store_true",
+        help=f"also run the exhaustive oracle (--p at most {BRUTE_MAX_P})",
+    )
     indep.set_defaults(handler=cmd_independent)
 
     orders = sub.add_parser("orders", help="bordism orders over a cyclic group of order p**k")

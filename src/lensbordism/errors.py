@@ -20,7 +20,8 @@ class ZeroInput(LensBordismError):
 
 
 class RangeError(LensBordismError):
-    """An inverted range was requested."""
+    """An inverted range was requested, or a value beyond the bound up to
+    which a computation is exact."""
 
 
 class ModulusMismatch(LensBordismError):

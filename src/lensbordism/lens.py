@@ -34,6 +34,8 @@ from .errors import (
 from .numtheory import (
     PrimeModulus,
     ResidueClass,
+    _cbrt_mod,
+    _sqrt_mod,
     is_prime,
     mod_inverse,
     sum_three_unit_squares,
@@ -125,18 +127,40 @@ def canonical_form(pair: PontrjaginPair) -> PontrjaginPair:
     """Least element of the reparametrization orbit, ordered by (beta0, beta1).
 
     Idempotent, and constant on orbits; (0, 0) is a fixed point of every
-    reparametrization and is returned unchanged.
+    reparametrization and is returned unchanged.  The modulus must be prime
+    (``ValueError`` otherwise).
+
+    Computed in closed form rather than by trying every unit k.  With
+    b0 = 0 the orbit is (0, k * b1), least at (0, 1) unless b1 = 0.  Else
+    the least beta0 is the least c >= 1 with c / b0 a cube, and beta1 is the
+    least k * b1 over the units k with k**3 = c / b0.  When 3 does not
+    divide p - 1, cubing permutes the units: c = 1, and the only such k is
+    b0**-e with 3e = 1 mod p - 1.  Otherwise c / b0 is a cube exactly when
+    (c / b0)**((p-1)/3) = 1, and the k are k0, k0 * w and k0 * w**2 for one
+    cube root k0 (``_cbrt_mod``) and the primitive cube root of unity
+    w = (-1 + sqrt(-3)) / 2.  The cost is one modular power per c tried
+    (the least c is small: the cubes are one of three cosets of equal size),
+    one cube root and one square root, O(log p) multiplications each rather
+    than the O(p) of a scan over k.
     """
     p = pair.modulus
+    if not is_prime(p):
+        raise ValueError(f"prime modulus required, got {p}")
     b0, b1 = pair.values()
-    best = (b0, b1)
-    for k in range(2, p):
-        if math.gcd(k, p) != 1:
-            continue
-        cand = (pow(k, 3, p) * b0 % p, k * b1 % p)
-        if cand < best:
-            best = cand
-    return PontrjaginPair.from_ints(best[0], best[1], p)
+    if b0 == 0:
+        return PontrjaginPair.from_ints(0, 1 if b1 else 0, p)
+    if (p - 1) % 3:
+        k = pow(b0, -pow(3, -1, p - 1), p)
+        return PontrjaginPair.from_ints(1, k * b1, p)
+    cube_test = (p - 1) // 3
+    target = pow(b0, cube_test, p)
+    c = 1
+    while pow(c, cube_test, p) != target:
+        c += 1
+    k0 = _cbrt_mod(c * pow(b0, -1, p) % p, p)
+    w = (_sqrt_mod(p - 3, p) - 1) * (p + 1) // 2 % p
+    x = k0 * b1 % p
+    return PontrjaginPair.from_ints(c, min(x, x * w % p, x * w * w % p), p)
 
 
 def is_null_bordant(pair: PontrjaginPair) -> bool:

@@ -1,14 +1,19 @@
 """Exact modular arithmetic over prime moduli.
 
-Everything here is pure and deterministic: primality is decided by trial
-division (the target range is moduli up to 10**6), quadratic residuosity by
-raising to the power (p-1)/2 (Euler's criterion), and the
-sum-of-three-unit-squares search always returns the lexicographically least
-witness so that downstream reports are reproducible bit for bit.  That
-search keeps no per-prime state: each candidate remainder is tested with
-Euler's criterion and, when it is a square, one Tonelli-Shanks root gives
-both of its roots, so a call costs a few O(log p) modular powers per
-candidate rather than an O(p) table of square roots.
+Everything here is pure and deterministic.  Primality is decided by a
+strong-probable-prime (Miller-Rabin) test to the thirteen prime bases
+2, 3, ..., 41, which no composite below
+3,317,044,064,679,887,385,961,981 passes (Jaeschke 1993; Sorenson and
+Webster 2015), so ``is_prime`` is exact below that bound and raises
+``RangeError`` at or above it; a call costs thirteen modular powers, not
+O(sqrt n) divisions.  Quadratic residuosity is decided by raising to the
+power (p-1)/2 (Euler's criterion), and the sum-of-three-unit-squares search
+always returns the lexicographically least witness so that downstream
+reports are reproducible bit for bit.  That search keeps no per-prime
+state: each candidate remainder is tested with Euler's criterion and, when
+it is a square, one Tonelli-Shanks root gives both of its roots, so a call
+costs a few O(log p) modular powers per candidate rather than an O(p) table
+of square roots.
 """
 
 from __future__ import annotations
@@ -19,19 +24,43 @@ from dataclasses import dataclass
 from .errors import ModulusMismatch, NotAUnit, RangeError, ZeroInput
 
 
+# The first thirteen primes.  Every odd composite n below _MR_BOUND fails the
+# strong-probable-prime test to at least one of them.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test."""
+    """Deterministic Miller-Rabin primality test, exact for n below
+    3,317,044,064,679,887,385,961,981; larger n raise ``RangeError``.
+
+    n is first divided by the bases themselves, so an n below 41**2 that
+    survives is prime.  Otherwise, with n - 1 = d * 2**s and d odd, n passes
+    base b when b**d = 1 or b**(d * 2**i) = -1 for some i < s.
+    """
     if n < 2:
         return False
-    if n < 4:
+    if n >= _MR_BOUND:
+        raise RangeError(f"primality is decided only below {_MR_BOUND}, got {n}")
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n < 41 * 41:
         return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    d = 5
-    while d * d <= n:
-        if n % d == 0 or n % (d + 2) == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 6
     return True
 
 
@@ -48,7 +77,7 @@ class PrimeModulus:
     @classmethod
     def _trusted(cls, p: int) -> "PrimeModulus":
         """A modulus for a p already known to be prime, such as a sieved
-        one; skips the trial-division check that construction runs."""
+        one; skips the primality test that construction runs."""
         modulus = object.__new__(cls)
         object.__setattr__(modulus, "p", p)
         return modulus
@@ -226,6 +255,48 @@ def _sqrt_mod(a: int, p: int) -> int:
         b = pow(c, 1 << (m - i - 1), p)
         c = b * b % p
         m, t, r = i, t * c % p, r * b % p
+    return r
+
+
+def _cbrt_mod(a: int, p: int) -> int:
+    """One cube root of the nonzero cube residue a mod the prime p = 1 mod 3.
+
+    Adleman-Manders-Miller for cube roots, the analogue of ``_sqrt_mod``:
+    write p - 1 = t * 3**s with 3 not dividing t and take e with 3e = 1 mod t.
+    The first guess r = a**e has error r**3 / a = a**(3e-1), an element of
+    the cyclic 3-Sylow subgroup of order at most 3**(s-1).  Each round
+    multiplies r by a power of c, a generator of a shrinking 3-subgroup (at
+    first c = z**t, z a cubic non-residue), chosen so that the error's order
+    drops by a factor 3.  When the first guess is a root no non-residue is
+    needed.
+    """
+    t, s = p - 1, 0
+    while t % 3 == 0:
+        t //= 3
+        s += 1
+    e = pow(3, -1, t)
+    r, err = pow(a, e, p), pow(a, 3 * e - 1, p)
+    if err == 1:
+        return r
+    cube_test = (p - 1) // 3
+    z = 2
+    while pow(z, cube_test, p) == 1:
+        z += 1
+    c, m = pow(z, t, p), s
+    while err != 1:
+        # least i with err**(3**i) == 1, and w = err**(3**(i-1)), a primitive
+        # cube root of 1; i < m because err lies in the cubes of <c>, a
+        # subgroup of order 3**(m-1)
+        i, e3 = 0, err
+        while e3 != 1:
+            w, e3, i = e3, pow(e3, 3, p), i + 1
+        b = pow(c, 3 ** (m - i - 1), p)  # order 3**(i+1)
+        c = b * b * b % p  # order 3**i, so u = c**(3**(i-1)) has order 3
+        # r * b turns err into err * c, r * b**2 into err * c**2; at the power
+        # 3**(i-1) these give w * u and w * u**2, and one of the two is 1
+        if pow(c, 3 ** (i - 1), p) == w:
+            b = b * b % p
+        m, err, r = i, err * pow(b, 3, p) % p, r * b % p
     return r
 
 

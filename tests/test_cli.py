@@ -178,6 +178,13 @@ class TestInvariants:
         code, _, _ = run(capsys, "invariants", "--p", "5", "--q", "1,1")
         assert code == 2
 
+    def test_eighteen_digit_p(self, capsys):
+        code, out, _ = run(
+            capsys, "invariants", "--p", "1000000000000000003", "--q", "1,2,3"
+        )
+        assert code == 0
+        assert "canonical = (1, 14)" in out
+
     def test_json_shape(self, capsys):
         code, out, _ = run(
             capsys, "invariants", "--p", "5", "--q", "1,1,1", "--format", "json"
@@ -218,6 +225,19 @@ class TestIndependent:
             capsys, "independent", "--p", "5", "--qa", "1,1,5", "--qb", "1,1,1"
         )
         assert code == 2
+
+    def test_brute_above_cap_is_input_error(self, capsys, monkeypatch):
+        def no_oracle(a, b):
+            raise AssertionError("oracle ran")
+
+        monkeypatch.setattr(cli, "independent_bruteforce", no_oracle)
+        over = str(cli.BRUTE_MAX_P + 1)
+        code, out, err = run(
+            capsys,
+            "independent", "--p", over, "--qa", "1,1,1", "--qb", "1,1,2", "--brute",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --brute needs --p at most {cli.BRUTE_MAX_P}, got {over}\n"
 
 
 class TestOrders:
@@ -266,6 +286,13 @@ class TestOrdersD3:
         code, _, err = run(capsys, "orders-d3", "--p", "5", "--k", "1")
         assert code == 2
         assert "error" in err
+
+    def test_p_beyond_primality_bound_is_input_error(self, capsys):
+        code, out, err = run(
+            capsys, "orders-d3", "--p", "3317044064679887385961983", "--k", "1"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_json(self, capsys):
         code, out, _ = run(

@@ -1,6 +1,8 @@
 """Tests for lens-space invariant pairs and the generator-pair search."""
 
 import itertools
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -125,6 +127,67 @@ class TestCanonicalForm:
                 assert canonical_form(canon) == canon
                 for k in range(1, p):
                     assert canonical_form(reparametrize(x, k)) == canon
+
+
+def _canonical_form_by_scan(x):
+    """Oracle: the least (k**3 * b0, k * b1) over every unit k, by trying
+    each k in turn (O(p) per pair)."""
+    p = x.modulus
+    b0, b1 = x.values()
+    best = (b0, b1)
+    for k in range(2, p):
+        if math.gcd(k, p) != 1:
+            continue
+        cand = (pow(k, 3, p) * b0 % p, k * b1 % p)
+        if cand < best:
+            best = cand
+    return pair(best[0], best[1], p)
+
+
+class TestCanonicalFormMatchesScan:
+    @pytest.mark.parametrize("p", [int(q) for q in primes_in_range(2, 200)])
+    def test_every_pair(self, p):
+        # The scan runs once per orbit; every member of that orbit must map
+        # to its result, which covers all p**2 pairs in O(p**2) scan steps.
+        seen = set()
+        for b0 in range(p):
+            for b1 in range(p):
+                if (b0, b1) in seen:
+                    continue
+                expected = _canonical_form_by_scan(pair(b0, b1, p)).values()
+                for k in range(1, p):
+                    member = (pow(k, 3, p) * b0 % p, k * b1 % p)
+                    if member not in seen:
+                        seen.add(member)
+                        got = canonical_form(pair(*member, p)).values()
+                        assert got == expected, (p, member)
+
+    def test_random_pairs_at_sampled_primes(self):
+        # 3**4 .. 3**6 divide p - 1 for the four named primes, so the cube
+        # root takes several correction rounds there.
+        rng = random.Random(5)
+        primes = [163, 487, 1459, 2917] + rng.sample(
+            [int(q) for q in primes_in_range(200, 20000)], 24
+        )
+        for p in primes:
+            for _ in range(8):
+                x = pair(rng.randrange(p), rng.randrange(p), p)
+                assert canonical_form(x) == _canonical_form_by_scan(x), (p, x)
+
+    def test_idempotent_and_orbit_constant_at_large_prime(self):
+        p = 10**18 + 3
+        rng = random.Random(7)
+        for _ in range(50):
+            x = pair(rng.randrange(1, p), rng.randrange(p), p)
+            canon = canonical_form(x)
+            assert canonical_form(canon) == canon
+            for _ in range(5):
+                assert canonical_form(reparametrize(x, rng.randrange(1, p))) == canon
+
+    @pytest.mark.parametrize("m", [9, 15])
+    def test_composite_modulus_rejected(self, m):
+        with pytest.raises(ValueError):
+            canonical_form(pair(1, 2, m))
 
 
 class TestIsNullBordant:

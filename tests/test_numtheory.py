@@ -11,6 +11,7 @@ from lensbordism.errors import ModulusMismatch, NotAUnit, RangeError, ZeroInput
 from lensbordism.numtheory import (
     PrimeModulus,
     ResidueClass,
+    _cbrt_mod,
     _factorize,
     _sqrt_mod,
     is_prime,
@@ -42,6 +43,46 @@ def _sum_three_unit_squares_by_table(target, p, roots):
             if i < len(cand):
                 return (t1, t2, cand[i])
     return None
+
+
+def _is_prime_by_trial_division(n):
+    """Oracle: trial division by 2, 3 and every 6j +- 1 up to sqrt(n)."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0 or n % 3 == 0:
+        return False
+    d = 5
+    while d * d <= n:
+        if n % d == 0 or n % (d + 2) == 0:
+            return False
+        d += 6
+    return True
+
+
+def test_is_prime_matches_trial_division_up_to_200000():
+    for n in range(-5, 200_001):
+        assert is_prime(n) == _is_prime_by_trial_division(n), n
+
+
+def test_is_prime_rejects_strong_pseudoprimes(monkeypatch):
+    # Strong pseudoprimes to every prime base up to 7, 31 and 37 respectively.
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert is_prime(n) is False, n
+    # Only base 41 catches the last one.
+    monkeypatch.setattr(numtheory, "_MR_BASES", numtheory._MR_BASES[:-1])
+    assert is_prime(318665857834031151167461) is True
+
+
+def test_is_prime_large_primes():
+    for n in (2**61 - 1, 10**12 + 39, 10**18 + 3):
+        assert is_prime(n) is True, n
+
+
+def test_is_prime_above_its_bound_raises():
+    with pytest.raises(RangeError):
+        is_prime(3317044064679887385961981)
 
 
 def test_is_prime_small():
@@ -284,3 +325,15 @@ class TestSqrtMod:
             r = _sqrt_mod(a, p)
             assert 1 <= r < p
             assert r * r % p == a
+
+
+class TestCbrtMod:
+    def test_root_cubes_back_for_every_cube_residue(self):
+        for p in primes_in_range(7, 2000):
+            p = int(p)
+            if p % 3 != 1:
+                continue
+            for a in {x * x * x % p for x in range(1, p)}:
+                r = _cbrt_mod(a, p)
+                assert 1 <= r < p
+                assert pow(r, 3, p) == a, (p, a)
