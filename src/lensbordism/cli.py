@@ -60,6 +60,10 @@ GROUPS_MAX_ORDER = 10**5
 # and took 6.6 s for an independent pair at p = 5003 on the same machine,
 # about the run time at the two caps above.
 BRUTE_MAX_P = 5000
+# Largest `lemma5 --brute-below` accepted over a `--max` above it: the oracle
+# runs on every prime up to the bound, and [5, 800] took 6.2-6.6 s on the same
+# machine.
+BRUTE_BELOW_MAX = 800
 
 
 @dataclass
@@ -184,6 +188,11 @@ def cmd_lemma5(ns) -> Report:
         raise ValueError(f"--max must be at most {LEMMA5_MAX}, got {ns.max}")
     if ns.brute_below < 0:
         raise ValueError("--brute-below must be nonnegative")
+    if min(ns.brute_below, ns.max) > BRUTE_BELOW_MAX:
+        raise ValueError(
+            f"--brute-below must be at most {BRUTE_BELOW_MAX} unless --max is, "
+            f"got {ns.brute_below}"
+        )
     if ns.jobs < 0:
         raise ValueError("--jobs must be nonnegative")
     primes = [int(p) for p in primes_in_range(ns.min, ns.max)]
@@ -315,8 +324,6 @@ def cmd_independent(ns) -> Report:
 
 def cmd_orders(ns) -> Report:
     p, k = ns.p, ns.k
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
     _odd_prime(p)
     order = bordism_order_cyclic(p, k)
     try:
@@ -357,8 +364,6 @@ def cmd_orders(ns) -> Report:
 
 
 def cmd_orders_d3(ns) -> Report:
-    if ns.k < 1:
-        raise ValueError(f"k must be at least 1, got {ns.k}")
     params = d_pk3_params(ns.p, ns.k)
     order = bordism_order_metacyclic_d3(ns.p, ns.k)
     entry = {
@@ -442,11 +447,18 @@ def build_parser() -> argparse.ArgumentParser:
     lemma5.add_argument("--max", type=int, required=True, help="last prime bound")
     lemma5.add_argument(
         "--brute-below", type=int, default=31, dest="brute_below",
-        help="cross-check primes up to this bound with the exhaustive oracle (default 31)",
+        help=(
+            "cross-check primes up to this bound with the exhaustive oracle "
+            f"(default 31; at most {BRUTE_BELOW_MAX} unless --max is)"
+        ),
     )
     lemma5.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes (0 = all cores; capped at the number of primes)",
+        help=(
+            "worker processes (0 = all cores; capped at the number of primes but "
+            "not at the number of cores, so the determinism check can run 3 "
+            "workers on any machine)"
+        ),
     )
     lemma5.set_defaults(handler=cmd_lemma5)
 

@@ -15,12 +15,14 @@ so the r with r**n = 1 mod p**e are its unique subgroup of order
 d = gcd(n, p-1).  That subgroup has order prime to p, so reduction mod p
 is injective on it and 1 is its only element = 1 mod p: the local
 solutions are exactly its d - 1 nontrivial elements, and there are none
-for any n once some d is 1.  The Chinese remainder theorem combines the
-local solutions into the r mod m, and the least r of each cyclic subgroup
-<r> is kept.  The cost is output-sensitive: a smallest-prime-factor table
-of max_order + 1 entries per call, one factorisation from it for each of
-the O(max_order log max_order) pairs (m, n), and work proportional to the
-admissible r built.
+for any n once some d is 1.  They are the powers of one element of exact
+order d, found from the primes of d alone.  The Chinese remainder theorem
+combines them into the r mod m.  In ascending order, the first r met in
+each cyclic subgroup <r> is kept and the generators of <r> are marked, so
+the work is ord(r) once per subgroup.  The cost is output-sensitive: a
+smallest-prime-factor table of max_order + 1 entries per call, one
+factorisation from it for each of the O(max_order log max_order) pairs
+(m, n), and work proportional to the admissible r built.
 """
 
 from __future__ import annotations
@@ -115,7 +117,8 @@ def sylow_structure(params: MetacyclicParams) -> SylowDescriptor:
 
 def d_pk3_params(p: int, k: int) -> MetacyclicParams:
     """The presentation (p**k, 3, r) with r the least nontrivial cube root
-    of 1 mod p**k; exists exactly when p = 1 mod 3."""
+    of 1 mod p**k, a power of one element of exact order 3; exists exactly
+    when p = 1 mod 3."""
     if p < 5 or not is_prime(p):
         raise ValueError(f"prime >= 5 required, got {p}")
     if k < 1:
@@ -123,24 +126,7 @@ def d_pk3_params(p: int, k: int) -> MetacyclicParams:
     if p % 3 != 1:
         raise NoPrimitiveCubeRoot(f"3 does not divide p - 1 for p = {p}")
     m = p**k
-    exponent = p ** (k - 1) * (p - 1) // 3
-    for a in range(2, m):
-        if a % p == 0:
-            continue
-        y = pow(a, exponent, m)
-        if y != 1:
-            # y has exact order 3; the only other nontrivial cube root is y**2.
-            return MetacyclicParams(m, 3, min(y, y * y % m))
-    raise NoPrimitiveCubeRoot(f"no cube root of 1 found mod {m}")
-
-
-def _cyclic_span(r: int, m: int) -> frozenset[int]:
-    span = {1}
-    x = r
-    while x != 1:
-        span.add(x)
-        x = x * r % m
-    return frozenset(span)
+    return MetacyclicParams(m, 3, min(_roots_of_unity(p, m, 3, [3])))
 
 
 def _smallest_prime_factors(limit: int) -> list[int]:
@@ -166,17 +152,19 @@ def _prime_powers(k: int, spf: list[int]) -> list[tuple[int, int]]:
     return out
 
 
-def _local_roots(p: int, q: int, d: int, spf: list[int]) -> list[int]:
-    """The d - 1 nontrivial elements of the order-d subgroup of units mod
-    q = p**e, for d dividing p - 1."""
-    primes = [f for f, _ in _prime_powers(p - 1, spf)]
-    g = 2
-    while any(pow(g, (p - 1) // f, p) == 1 for f in primes):
-        g += 1
-    # g generates the units mod p; its power g**(p**(e-1)) has order
-    # exactly p - 1 mod q, whatever the order of g itself mod q.
-    t = pow(g, q // p, q)
-    h = pow(t, (p - 1) // d, q)
+def _roots_of_unity(p: int, q: int, d: int, primes_of_d: list[int]) -> list[int]:
+    """The d - 1 nontrivial d-th roots of unity mod q = p**e, for d dividing
+    p - 1, as the powers h, h**2, ..., h**(d-1) of one h of exact order d.
+
+    For a unit a, h = a**(phi(q)/d) has order dividing d, and exactly d
+    when h**(d/f) != 1 for every prime f of d.  A primitive root mod p below
+    p gives such an h, so the search over a = 2, 3, ... stops before p.
+    """
+    exponent = q // p * (p - 1) // d
+    for a in range(2, p):
+        h = pow(a, exponent, q)
+        if all(pow(h, d // f, q) != 1 for f in primes_of_d):
+            break
     roots, x = [], h
     for _ in range(d - 1):
         roots.append(x)
@@ -196,7 +184,7 @@ def _admissible_r(m: int, n: int, spf: list[int]) -> list[int]:
         d = gcd(n, p - 1)
         if n % p == 0 or d == 1:
             return []
-        local = _local_roots(p, q, d, spf)
+        local = _roots_of_unity(p, q, d, [f for f, _ in _prime_powers(d, spf)])
         inv = pow(modulus, -1, q)
         roots = [a + modulus * ((b - a) * inv % q) for a in roots for b in local]
         modulus *= q
@@ -213,12 +201,12 @@ def enumerate_periodic_odd(max_order: int) -> list[MetacyclicParams]:
     principle still present isomorphic groups.  Output is sorted by
     (order, m, n, r).
 
-    The r for each (m, n) are built, not searched for: the units mod each
-    prime power p**e of m are cyclic, the solutions of r**n = 1 there are
-    the subgroup of order gcd(n, p-1), its nontrivial elements are exactly
-    the r != 1 mod p, and the Chinese remainder theorem combines them (the
-    module docstring gives the argument and the cost).  Every emitted
-    triple is still checked by ``MetacyclicParams``.
+    The r for each (m, n) are built, not searched for, and walked in
+    ascending order: an r is emitted unless it is marked, and then the
+    generators r**a of <r>, gcd(a, ord r) = 1, are marked, so the first r
+    met in each subgroup is its least (the module docstring gives the
+    argument and the cost).  Every emitted triple is still checked by
+    ``MetacyclicParams``.
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
@@ -229,12 +217,16 @@ def enumerate_periodic_odd(max_order: int) -> list[MetacyclicParams]:
             if m == 1:
                 found.append(MetacyclicParams(1, n, 0))
                 continue
-            seen: set[frozenset[int]] = set()
+            marked: set[int] = set()
             for r in _admissible_r(m, n, spf):
-                span = _cyclic_span(r, m)
-                if span in seen:
+                if r in marked:
                     continue
-                seen.add(span)
                 found.append(MetacyclicParams(m, n, r))
+                powers, x = [], r
+                while x != 1:
+                    powers.append(x)
+                    x = x * r % m
+                order = len(powers) + 1
+                marked.update(y for a, y in enumerate(powers, 1) if gcd(a, order) == 1)
     found.sort(key=lambda g: (g.order, g.m, g.n, g.r))
     return found

@@ -127,6 +127,28 @@ class TestLemma5:
         at_cap = str(cli.LEMMA5_MAX)
         assert run(capsys, "lemma5", "--min", "999990", "--max", at_cap)[0] == 0
 
+    def test_brute_below_above_cap_is_input_error(self, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("search ran")
+
+        monkeypatch.setattr(cli, "primes_in_range", fail)
+        monkeypatch.setattr(cli, "independent_bruteforce", fail)
+        over = str(cli.BRUTE_BELOW_MAX + 1)
+        code, out, err = run(
+            capsys, "lemma5", "--min", "5", "--max", over, "--brute-below", over
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: --brute-below must be at most {cli.BRUTE_BELOW_MAX} "
+            f"unless --max is, got {over}\n"
+        )
+        # a --brute-below above the cap is fine while --max is at most the cap
+        monkeypatch.undo()
+        code, out, _ = run(capsys, "lemma5", "--min", "5", "--max", "40", "--brute-below", "10000")
+        assert code == 0
+        assert "primes_checked=10 failures=0" in out
+        assert out.count("[brute-checked]") == 10
+
     def test_worker_count(self):
         # 0 means one per core; every count is capped at the number of primes
         assert _lemma5_workers(1, 100, 8) == 1
@@ -273,6 +295,11 @@ class TestOrders:
         code, _, _ = run(capsys, "orders", "--p", "2", "--k", "1")
         assert code == 2
 
+    def test_k_zero_is_input_error(self, capsys):
+        assert run(capsys, "orders", "--p", "5", "--k", "0") == (
+            2, "", "error: k must be at least 1, got 0\n"
+        )
+
 
 class TestOrdersD3:
     def test_seven(self, capsys):
@@ -286,6 +313,11 @@ class TestOrdersD3:
         code, _, err = run(capsys, "orders-d3", "--p", "5", "--k", "1")
         assert code == 2
         assert "error" in err
+
+    def test_k_zero_is_input_error(self, capsys):
+        assert run(capsys, "orders-d3", "--p", "7", "--k", "0") == (
+            2, "", "error: k must be at least 1, got 0\n"
+        )
 
     def test_p_beyond_primality_bound_is_input_error(self, capsys):
         code, out, err = run(

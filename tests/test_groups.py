@@ -8,6 +8,7 @@ from lensbordism.errors import EvenOrder, NoPrimitiveCubeRoot
 from lensbordism.groups import (
     MetacyclicParams,
     _admissible_r,
+    _roots_of_unity,
     _smallest_prime_factors,
     d_pk3_params,
     enumerate_periodic_odd,
@@ -44,6 +45,44 @@ def _scan_periodic_odd(max_order):
                 found.append(MetacyclicParams(m, n, r))
     found.sort(key=lambda g: (g.order, g.m, g.n, g.r))
     return found
+
+
+def _dedup_by_span(max_order):
+    """Frozenset oracle for the duplicate removal in ``enumerate_periodic_odd``:
+    over the same admissible r, keep the least r per set <r>."""
+    spf = _smallest_prime_factors(max_order)
+    found = []
+    for m in range(1, max_order + 1, 2):
+        for n in range(1, max_order // m + 1, 2):
+            if m == 1:
+                found.append(MetacyclicParams(1, n, 0))
+                continue
+            seen = set()
+            for r in _admissible_r(m, n, spf):
+                span, x = {1}, r
+                while x != 1:
+                    span.add(x)
+                    x = x * r % m
+                span = frozenset(span)
+                if span not in seen:
+                    seen.add(span)
+                    found.append(MetacyclicParams(m, n, r))
+    found.sort(key=lambda g: (g.order, g.m, g.n, g.r))
+    return found
+
+
+def _d_pk3_by_scan(p, k):
+    """Scan oracle for ``d_pk3_params`` at p = 1 mod 3: the first unit a with
+    y = a**(phi(p**k)/3) != 1 gives the roots y and y**2."""
+    m = p**k
+    exponent = p ** (k - 1) * (p - 1) // 3
+    for a in range(2, m):
+        if a % p == 0:
+            continue
+        y = pow(a, exponent, m)
+        if y != 1:
+            return MetacyclicParams(m, 3, min(y, y * y % m))
+    raise AssertionError(f"no cube root of 1 found mod {m}")
 
 
 class TestValidateMetacyclic:
@@ -157,6 +196,21 @@ class TestDpk3Params:
                 assert math.gcd((params.r - 1) * 3, m) == 1
                 assert theorem1_applies(params) is True
 
+    def test_matches_scan(self):
+        for pm in primes_in_range(7, 20_000):
+            p = int(pm)
+            if p % 3 == 1:
+                for k in (1, 2, 3):
+                    assert d_pk3_params(p, k) == _d_pk3_by_scan(p, k), (p, k)
+
+    def test_matches_scan_at_twelve_digits(self):
+        primes = [
+            p for p in range(10**12 + 1, 10**12 + 1000, 2) if p % 3 == 1 and is_prime(p)
+        ][:3]
+        assert len(primes) == 3
+        for p in primes:
+            assert d_pk3_params(p, 1) == _d_pk3_by_scan(p, 1), p
+
     def test_r_is_least_nontrivial_root(self):
         for p in (7, 13, 19, 31):
             params = d_pk3_params(p, 1)
@@ -199,6 +253,10 @@ class TestEnumeratePeriodicOdd:
     def test_matches_direct_scan(self):
         assert enumerate_periodic_odd(1501) == _scan_periodic_odd(1501)
 
+    def test_matches_dedup_by_span(self):
+        # reaches subgroups far larger than the direct scan's bound of 1501
+        assert enumerate_periodic_odd(20_000) == _dedup_by_span(20_000)
+
     def test_every_bound_is_a_prefix(self):
         full = _scan_periodic_odd(200)
         for bound in range(1, 201):
@@ -221,3 +279,19 @@ def test_admissible_r_is_the_crt_of_local_roots():
                 assert len(got) == math.prod(math.gcd(n, p - 1) - 1 for p in primes), (m, n)
             else:
                 assert got == [], (m, n)
+
+
+def test_roots_of_unity_are_the_nontrivial_dth_roots():
+    # m is odd in the enumeration, so q runs over odd prime powers
+    for p in primes_in_range(3, 2000):
+        p = int(p)
+        q = p
+        while q <= 2000:
+            for d in range(1, p):
+                if (p - 1) % d:
+                    continue
+                primes_of_d = [f for f in range(2, d + 1) if d % f == 0 and is_prime(f)]
+                roots = _roots_of_unity(p, q, d, primes_of_d)
+                assert len(roots) == len(set(roots)) == d - 1, (q, d)
+                assert all(pow(x, d, q) == 1 and x % q != 1 for x in roots), (q, d)
+            q *= p
