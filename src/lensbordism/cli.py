@@ -5,7 +5,8 @@ renders it once, with ``render``, as text, CSV or JSON.  JSON output is
 always the object {version, command, params, entries, summary}.  Input
 errors raise before any output and become one ``error:`` line.  Exit
 codes: 0 success, 1 verification failure or oracle disagreement, 2 usage
-or input error.
+or input error or running out of memory (one ``error:`` line), 130
+interrupted (no output, no traceback).
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .orders import (
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports an interrupted command
 
 # Largest accepted `lemma5 --max` and `groups --max-order`.  The sieve, the
 # smallest-prime-factor table and the reports grow about linearly with them;
@@ -56,14 +58,14 @@ EXIT_USAGE = 2
 # on a 2-core machine (Python 3.11).
 LEMMA5_MAX = 10**6
 GROUPS_MAX_ORDER = 10**5
-# Largest `--p` accepted with `independent --brute`: the oracle is O(p**2)
-# and took 6.6 s for an independent pair at p = 5003 on the same machine,
-# about the run time at the two caps above.
-BRUTE_MAX_P = 5000
+# Largest `--p` accepted with `independent --brute`: the oracle is O(p) time
+# and p bytes, and a whole CLI run on an independent pair at p = 999983 took
+# 0.32-0.40 s on the same machine.
+BRUTE_MAX_P = 10**6
 # Largest `lemma5 --brute-below` accepted over a `--max` above it: the oracle
-# runs on every prime up to the bound, and [5, 800] took 6.2-6.6 s on the same
-# machine.
-BRUTE_BELOW_MAX = 800
+# runs on every prime up to the bound, about N**2 / ln N steps in all, and
+# [5, 10000] took 1.13-1.17 s on the same machine.
+BRUTE_BELOW_MAX = 10**4
 
 
 @dataclass
@@ -513,10 +515,15 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         report = ns.handler(ns)
+        out, err = render(report, ns.command, ns.format)
     except (LensBordismError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    out, err = render(report, ns.command, ns.format)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_USAGE
+    except KeyboardInterrupt:
+        return EXIT_INTERRUPTED
     if ns.out:
         with open(ns.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(out)

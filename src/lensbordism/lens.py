@@ -226,21 +226,30 @@ def independent_bruteforce(a: PontrjaginPair, b: PontrjaginPair) -> bool:
     absorbing the actual first components into a and b is a bijection of
     unit tuples).  Scaling both congruences by a**-1 makes a = 1 lossless as
     well, and then the first congruence forces b = -k**3 * l**-3, always a
-    unit; so scanning every (k, l) and testing the second congruence at the
-    forced b is a complete enumeration.  Intended for small p; cost grows
-    quadratically with p.
+    unit.  At that b the second congruence reads k * Q - k**3 * l**-2 * R = 0,
+    and multiplying by the unit l**2 / k turns it into
+
+        Q * l**2 = R * k**2   (mod p),
+
+    so the pairs are dependent exactly when some unit k and some unit l
+    satisfy it.  A table of p bytes marks R * k**2, and the pairs are
+    dependent exactly when some Q * l**2 is marked.  Since k and p - k have
+    the same square, k = 1, ..., (p - 1) / 2 already give every unit square:
+    the table holds every value the right side takes over units, and every
+    value of the left side is looked up, so the check is still exhaustive.
+    No residue symbol is used, so it stays independent of ``independent``.
+    Cost: O(p) time and p bytes (1 MB at p = 10**6).
     """
     p = _common_prime_modulus(a, b)
     q = _slope(a)
     r = _slope(b)
-    inv_cubes = [0] + [pow(l, -3, p) for l in range(1, p)]
-    for k in range(1, p):
-        k3 = k * k * k % p
-        kq = k * q % p
-        for l in range(1, p):
-            coeff = -k3 * inv_cubes[l] % p
-            if (kq + coeff * l * r) % p == 0:
-                return False
+    half = (p + 1) // 2
+    marked = bytearray(p)
+    for k in range(1, half):
+        marked[r * k * k % p] = 1
+    for l in range(1, half):
+        if marked[q * l * l % p]:
+            return False
     return True
 
 

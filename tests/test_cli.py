@@ -261,6 +261,18 @@ class TestIndependent:
         assert (code, out) == (2, "")
         assert err == f"error: --brute needs --p at most {cli.BRUTE_MAX_P}, got {over}\n"
 
+    def test_brute_near_cap(self, capsys):
+        # Q = 3 and R = 2 + 200343**2 = -3 mod 999983, so Q/R = -1, a
+        # non-residue because 999983 = 3 mod 4
+        code, out, _ = run(
+            capsys,
+            "independent", "--p", "999983", "--qa", "1,1,1", "--qb", "1,1,200343",
+            "--brute", "--format", "json",
+        )
+        assert code == 0
+        entry = json.loads(out)["entries"][0]
+        assert (entry["independent"], entry["oracle"], entry["agree"]) == (True, True, True)
+
 
 class TestOrders:
     def test_prime_power(self, capsys):
@@ -446,6 +458,26 @@ def test_import_does_not_load_process_pool():
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
     assert proc.returncode == 0
+
+
+def test_memory_error_is_one_error_line(capsys, monkeypatch):
+    def exhausted(lo, hi):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "primes_in_range", exhausted)
+    code, out, err = run(capsys, "lemma5", "--min", "5", "--max", "100")
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
+def test_keyboard_interrupt_exits_130_quietly(capsys, monkeypatch):
+    def interrupted(a, b):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "independent_bruteforce", interrupted)
+    code, out, err = run(
+        capsys, "independent", "--p", "7", "--qa", "1,1,1", "--qb", "1,2,2", "--brute"
+    )
+    assert (code, out, err) == (130, "", "")
 
 
 def test_no_command_is_usage_error(capsys):

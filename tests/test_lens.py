@@ -256,10 +256,52 @@ def _independent_by_four_variable_scan(p, q, r):
     return True
 
 
+def _independent_by_scan(p, q, r):
+    """The O(p**2) scan: a = 1, b forced to -k**3 * l**-3, every unit (k, l)."""
+    inv_cubes = [0] + [pow(l, -3, p) for l in range(1, p)]
+    for k in range(1, p):
+        k3 = k * k * k % p
+        kq = k * q % p
+        for l in range(1, p):
+            coeff = -k3 * inv_cubes[l] % p
+            if (kq + coeff * l * r) % p == 0:
+                return False
+    return True
+
+
 class TestIndependentBruteforce:
     def test_examples(self):
         assert independent_bruteforce(pair(1, 3, 5), pair(1, 6, 5)) is True
         assert independent_bruteforce(pair(1, 3, 5), pair(1, 3, 5)) is False
+
+    def test_matches_scan_up_to_37(self):
+        for pm in primes_in_range(5, 37):
+            p = int(pm)
+            for q in range(p):
+                for r in range(p):
+                    got = independent_bruteforce(pair(1, q, p), pair(1, r, p))
+                    assert got == _independent_by_scan(p, q, r), (p, q, r)
+
+    def test_matches_independent_up_to_100(self):
+        # 65,783 (q, r) pairs; the bound is kept at 100 because the count
+        # grows as its cube (216,273 pairs up to 150)
+        for pm in primes_in_range(5, 100):
+            p = int(pm)
+            pairs = [pair(1, v, p) for v in range(p)]
+            for a in pairs:
+                for b in pairs:
+                    assert independent_bruteforce(a, b) == independent(a, b), (p, a, b)
+
+    @pytest.mark.parametrize("p", [999961, 999979, 999983])
+    def test_matches_independent_below_cap(self, p):
+        # the three largest primes below cli.BRUTE_MAX_P; Q/R = 4 is a
+        # square, and Q/R = the least non-residue is not
+        nonresidue = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) != 1)
+        a = pair(1, 4, p)
+        r_nonresidue = 4 * pow(nonresidue, -1, p)
+        for b, expected in ((pair(1, 1, p), False), (pair(1, r_nonresidue, p), True)):
+            assert independent(a, b) is expected
+            assert independent_bruteforce(a, b) is expected
 
     def test_truth_table_matches_independent_mod_7(self):
         for q in range(7):
