@@ -1,19 +1,27 @@
 """Batch command line front end.
 
-Each ``cmd_<name>`` handler only computes and returns a ``Report``; ``main``
-renders it once, with ``render``, as text, CSV or JSON.  JSON output is
-always the object {version, command, params, entries, summary}.  Input
-errors raise before any output and become one ``error:`` line.  Exit
-codes: 0 success, 1 verification failure or oracle disagreement, 2 usage
-or input error or running out of memory (one ``error:`` line), 130
-interrupted (no output, no traceback).
+Each ``cmd_<name>`` handler runs its input checks, and every eager step
+that can raise an input error, then returns a ``Report``: the params, an
+iterator over the entries and one text and one CSV formatter per entry.
+``main`` streams it with ``_write_report`` to stdout or ``--out`` as text,
+CSV or JSON, entry by entry as they are computed, and builds only the
+format asked for.  JSON output is always the object {version, command,
+params, entries, summary}, byte for byte as the standard ``json`` module
+writes it with an indent of 2.
+
+Exit codes: 0 success, 1 verification failure or oracle disagreement, 2
+usage or input error or running out of memory (one ``error:`` line), 130
+interrupted (no traceback).  Input errors raise before the first byte of
+the report, so stdout stays empty and an ``--out`` file is neither created
+nor truncated; the same holds for an interrupt or running out of memory
+before the first byte.  After it, they leave a truncated report on stdout
+and no ``--out`` file.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -22,10 +30,11 @@ from dataclasses import asdict, dataclass, field
 from . import __version__
 from .errors import LensBordismError, SearchExhausted, Unspecified
 from .groups import (
+    _prime_powers,
+    _smallest_prime_factors,
     d_pk3_params,
     enumerate_periodic_odd,
     group_order,
-    sylow_structure,
     theorem1_applies,
 )
 from .lens import (
@@ -53,9 +62,10 @@ EXIT_USAGE = 2
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports an interrupted command
 
 # Largest accepted `lemma5 --max` and `groups --max-order`.  The sieve, the
-# smallest-prime-factor table and the reports grow about linearly with them;
-# at these bounds a JSON run peaked at 234 and 401 MB and took 6.7 and 6.1 s
-# on a 2-core machine (Python 3.11).
+# smallest-prime-factor tables and the enumerated presentations grow about
+# linearly with them (reports are streamed); at these bounds a JSON run
+# peaked at 28 and 40 MB and took about 3.6 and 1.9 s on a 2-core machine
+# (Python 3.11).
 LEMMA5_MAX = 10**6
 GROUPS_MAX_ORDER = 10**5
 # Largest `--p` accepted with `independent --brute`: the oracle is O(p) time
@@ -68,54 +78,139 @@ BRUTE_MAX_P = 10**6
 BRUTE_BELOW_MAX = 10**4
 
 
+def _spread(entry: dict) -> list:
+    """An entry's values in order, each list spread over one item per column."""
+    return [x for v in entry.values() for x in (v if isinstance(v, list) else [v])]
+
+
 @dataclass
 class Report:
-    """What one subcommand computed: the JSON fields, the text lines, the CSV
-    header, the stderr lines (a dict is written as JSON) and the exit code.
-    A CSV row is an entry's values in order, each list spread over one
-    column per item, unless ``rows`` gives the rows."""
+    """What one subcommand computes, for ``_write_report`` to stream.
+
+    ``entries`` is an iterable of entry dicts, read once.  ``to_text(entry)``
+    is an entry's text lines as one string and ``to_row(entry)`` its CSV row;
+    ``head`` and ``tail`` are the text lines before and after the entries
+    and ``fields`` the CSV header.  Iterating ``entries`` to its end may
+    fill in ``summary``, ``tail``, ``stderr`` (a dict is written as JSON)
+    and ``code``, so they are read only after it.
+    """
 
     params: dict
-    entries: list[dict]
-    summary: dict
-    text: list[str]
+    entries: object
+    to_text: object
     fields: list[str]
-    rows: list[list] | None = None
+    to_row: object = _spread
+    head: list[str] = field(default_factory=list)
+    summary: dict = field(default_factory=lambda: {"failures": 0})
+    tail: list[str] = field(default_factory=list)
     stderr: list[str | dict] = field(default_factory=list)
     code: int = EXIT_OK
 
 
-def render(report: Report, command: str, fmt: str) -> tuple[str, str]:
-    """The stdout content of ``command``'s report as ``fmt`` (text, csv or
-    json), and its stderr content."""
-    if fmt == "json":
-        data = {
-            "version": __version__,
-            "command": command,
-            "params": report.params,
-            "entries": report.entries,
-            "summary": report.summary,
-        }
-        out = json.dumps(data, indent=2) + "\n"
-    elif fmt == "csv":
-        rows = report.rows
-        if rows is None:
-            rows = [
-                [x for v in e.values() for x in (v if isinstance(v, list) else [v])]
-                for e in report.entries
-            ]
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(report.fields)
-        writer.writerows(rows)
-        out = buf.getvalue()
-    else:
-        out = "\n".join(report.text) + "\n"
-    err = "".join(
-        (line if isinstance(line, str) else json.dumps(line, indent=2)) + "\n"
-        for line in report.stderr
-    )
-    return out, err
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json(obj, pad: str = "") -> str:
+    """``obj`` as ``json.dumps`` writes it with an indent of 2, with every
+    line after the first indented by ``pad``.  Dict keys must be strings.
+
+    The standard encoder indents in pure Python; this keeps its output and
+    does the same work in fewer calls, with the C string quoting.
+    """
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if obj is None:
+        return "null"
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_quote(k) + ": " + _json(v, inner) for k, v in obj.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_json(v, inner) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    return json.dumps(obj)
+
+
+class _Batched:
+    """A text sink that passes its writes on to ``out`` about 64 KiB at a
+    time.  Where stdout is unbuffered (``python -u``), each write to it is a
+    system call: one per entry took a JSON ``groups --max-order 3000`` from
+    162 to 179 ms (medians of 40 runs)."""
+
+    def __init__(self, out) -> None:
+        self.out, self.parts, self.size = out, [], 0
+
+    def write(self, text: str) -> None:
+        self.parts.append(text)
+        self.size += len(text)
+        if self.size >= 1 << 16:
+            self.flush()
+
+    def flush(self) -> None:
+        self.out.write("".join(self.parts))
+        self.parts, self.size = [], 0
+
+
+def _write_report(report: Report, command: str, fmt: str, out) -> None:
+    """Write ``command``'s report to the text file ``out`` as ``fmt`` (text,
+    csv or json), as ``report.entries`` yields the entries."""
+    sink = _Batched(out)
+    write = sink.write
+    try:
+        if fmt == "json":
+            write(
+                "{\n"
+                f'  "version": {_json(__version__)},\n'
+                f'  "command": {_json(command)},\n'
+                f'  "params": {_json(report.params, "  ")},\n'
+                '  "entries": ['
+            )
+            sep = "\n    "
+            for entry in report.entries:
+                write(sep + _json(entry, "    "))
+                sep = ",\n    "
+            close = "]" if sep == "\n    " else "\n  ]"
+            write(f'{close},\n  "summary": {_json(report.summary, "  ")}\n}}\n')
+        elif fmt == "csv":
+            writer = csv.writer(sink, lineterminator="\n")
+            writer.writerow(report.fields)
+            to_row = report.to_row
+            for entry in report.entries:
+                writer.writerow(to_row(entry))
+        else:
+            to_text = report.to_text
+            for line in report.head:
+                write(line + "\n")
+            for entry in report.entries:
+                write(to_text(entry) + "\n")
+            for line in report.tail:
+                write(line + "\n")
+    finally:  # what was written so far, also when cut short
+        sink.flush()
+
+
+def _write_file(report: Report, command: str, fmt: str, path: str) -> None:
+    """``_write_report`` to the file ``path``, which is removed again if the
+    report is cut short, so it never holds a truncated report."""
+    fh = open(path, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            _write_report(report, command, fmt, fh)
+    except BaseException:
+        if os.path.isfile(path):  # not a device such as /dev/null
+            os.remove(path)
+        raise
 
 
 def _triple(text: str) -> tuple[int, int, int]:
@@ -183,6 +278,33 @@ def _lemma5_workers(requested: int, tasks: int, cpus: int) -> int:
     return max(1, min(requested or cpus, tasks))
 
 
+def _lemma5_results(primes: list[int], brute_below: int, jobs: int):
+    """``_lemma5_worker``'s result for each prime, in order, as the workers
+    return them."""
+    tasks = ((p, brute_below) for p in primes)
+    if jobs == 1:
+        yield from map(_lemma5_worker, tasks)
+        return
+    # imported here so single-process runs do not pay for it
+    from concurrent.futures import ProcessPoolExecutor
+
+    # The parent holds a chunk's results until it has written them, so a
+    # chunk is at most 1,000 primes: at --max 10**6 that took peak RSS from
+    # 44-48 to 34 MB and let the parent start writing sooner.
+    chunk = max(1, min(len(primes) // (jobs * 4), 1000))
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(_lemma5_worker, tasks, chunksize=chunk)
+
+
+def _lemma5_text(e: dict) -> str:
+    line = (
+        f"p={e['p']}  weights_a=({','.join(map(str, e['weights_a']))})  "
+        f"weights_b=({','.join(map(str, e['weights_b']))})  Q={e['Q']}  R={e['R']}  "
+        f"stage={e['stage']}  certificate={e['certificate']}"
+    )
+    return line + "  [brute-checked]" if e["brute_checked"] else line
+
+
 def cmd_lemma5(ns) -> Report:
     if not 5 <= ns.min <= ns.max:
         raise ValueError(f"need 5 <= min <= max, got [{ns.min}, {ns.max}]")
@@ -198,49 +320,45 @@ def cmd_lemma5(ns) -> Report:
     if ns.jobs < 0:
         raise ValueError("--jobs must be nonnegative")
     primes = [int(p) for p in primes_in_range(ns.min, ns.max)]
-    tasks = [(p, ns.brute_below) for p in primes]
-    jobs = _lemma5_workers(ns.jobs, len(tasks), os.cpu_count() or 1)
-    if jobs == 1:
-        results = [_lemma5_worker(t) for t in tasks]
-    else:
-        # imported here so single-process runs do not pay for it
-        from concurrent.futures import ProcessPoolExecutor
+    jobs = _lemma5_workers(ns.jobs, len(primes), os.cpu_count() or 1)
 
-        chunk = max(1, len(tasks) // (jobs * 4))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_lemma5_worker, tasks, chunksize=chunk))
-    entries = [r["entry"] for r in results if r["ok"]]
-    failures = [r for r in results if not r["ok"]]
-    lines = [f"generator pairs for primes in [{ns.min}, {ns.max}]"]
-    for e in entries:
-        line = (
-            f"p={e['p']}  weights_a=({','.join(map(str, e['weights_a']))})  "
-            f"weights_b=({','.join(map(str, e['weights_b']))})  Q={e['Q']}  R={e['R']}  "
-            f"stage={e['stage']}  certificate={e['certificate']}"
-        )
-        if e["brute_checked"]:
-            line += "  [brute-checked]"
-        lines.append(line)
-    lines.append(f"primes_checked={len(primes)} failures={len(failures)}")
-    stderr: list[str | dict] = []
-    for failure in failures:
-        stderr += [f"FAILURE p={failure['p']}: {failure['reason']}", failure]
-    return Report(
+    def entries():
+        failures = []
+        for result in _lemma5_results(primes, ns.brute_below, jobs):
+            if result["ok"]:
+                yield result["entry"]
+            else:
+                failures.append(result)
+        report.summary = {"primes_checked": len(primes), "failures": len(failures)}
+        report.tail = [f"primes_checked={len(primes)} failures={len(failures)}"]
+        for failure in failures:
+            report.stderr += [f"FAILURE p={failure['p']}: {failure['reason']}", failure]
+        report.code = EXIT_FAILURE if failures else EXIT_OK
+
+    report = Report(
         {"min": ns.min, "max": ns.max, "brute_below": ns.brute_below},
-        entries,
-        {"primes_checked": len(primes), "failures": len(failures)},
-        lines,
+        entries(),
+        _lemma5_text,
         [
             "p", "qa1", "qa2", "qa3", "qb1", "qb2", "qb3",
             "Q", "R", "stage", "certificate", "brute_checked",
         ],
-        stderr=stderr,
-        code=EXIT_FAILURE if failures else EXIT_OK,
+        head=[f"generator pairs for primes in [{ns.min}, {ns.max}]"],
     )
+    return report
 
 
 # ---------------------------------------------------------------------------
 # invariants: Q, normalized pair and canonical form of one lens space
+
+
+def _invariants_text(e: dict) -> str:
+    return (
+        f"p={e['p']} weights=({','.join(map(str, e['weights']))})\n"
+        f"Q = {e['Q']}\n"
+        f"pair = ({e['pair'][0]}, {e['pair'][1]})\n"
+        f"canonical = ({e['canonical'][0]}, {e['canonical'][1]})"
+    )
 
 
 def cmd_invariants(ns) -> Report:
@@ -254,23 +372,31 @@ def cmd_invariants(ns) -> Report:
         "pair": list(pair.values()),
         "canonical": list(canonical_form(pair).values()),
     }
-    lines = [
-        f"p={ns.p} weights=({','.join(map(str, entry['weights']))})",
-        f"Q = {entry['Q']}",
-        f"pair = ({entry['pair'][0]}, {entry['pair'][1]})",
-        f"canonical = ({entry['canonical'][0]}, {entry['canonical'][1]})",
-    ]
     return Report(
         {"p": ns.p, "q": list(ns.q)},
         [entry],
-        {"failures": 0},
-        lines,
+        _invariants_text,
         ["p", "q1", "q2", "q3", "Q", "beta0", "beta1", "canonical0", "canonical1"],
     )
 
 
 # ---------------------------------------------------------------------------
 # independent: verdict for two weight triples, optionally oracle-checked
+
+
+def _independent_text(e: dict) -> str:
+    text = (
+        f"p={e['p']}\n"
+        f"A: weights=({','.join(map(str, e['weights_a']))}) Q={e['Q']}\n"
+        f"B: weights=({','.join(map(str, e['weights_b']))}) R={e['R']}\n"
+        f"verdict: {'independent' if e['independent'] else 'dependent'}"
+    )
+    if e["oracle"] is None:
+        return text
+    return (
+        f"{text}\noracle: {'independent' if e['oracle'] else 'dependent'} "
+        f"({'agree' if e['agree'] else 'DISAGREE'})"
+    )
 
 
 def cmd_independent(ns) -> Report:
@@ -294,27 +420,16 @@ def cmd_independent(ns) -> Report:
         "oracle": oracle,
         "agree": agree,
     }
-    lines = [
-        f"p={ns.p}",
-        f"A: weights=({','.join(map(str, entry['weights_a']))}) Q={entry['Q']}",
-        f"B: weights=({','.join(map(str, entry['weights_b']))}) R={entry['R']}",
-        f"verdict: {'independent' if verdict else 'dependent'}",
-    ]
-    if ns.brute:
-        lines.append(
-            f"oracle: {'independent' if oracle else 'dependent'} "
-            f"({'agree' if agree else 'DISAGREE'})"
-        )
     failures = int(agree is False)
     return Report(
         {"p": ns.p, "qa": list(ns.qa), "qb": list(ns.qb), "brute": bool(ns.brute)},
         [entry],
-        {"failures": failures},
-        lines,
+        _independent_text,
         [
             "p", "qa1", "qa2", "qa3", "qb1", "qb2", "qb3", "Q", "R",
             "independent", "oracle", "agree",
         ],
+        summary={"failures": failures},
         stderr=["error: oracle disagreement (implementation bug trap)"] if failures else [],
         code=EXIT_FAILURE if failures else EXIT_OK,
     )
@@ -322,6 +437,24 @@ def cmd_independent(ns) -> Report:
 
 # ---------------------------------------------------------------------------
 # orders / orders-d3: order formulas for cyclic and metacyclic groups
+
+
+def _orders_text(e: dict) -> str:
+    text = (
+        f"p={e['p']} k={e['k']}\n"
+        f"bordism order: {e['bordism_order']}\n"
+        f"lens class order: {e['lens_class_order']}\n"
+        f"group structure: {e['group_structure']}"
+    )
+    extension, non_split = e["extension_order_check"], e["non_splitness"]
+    if extension is None:
+        return text
+    if extension == "unspecified":
+        return f"{text}\nextension order check: unspecified\nnon-split extension: unspecified"
+    return (
+        f"{text}\nextension order check: {'ok' if extension else 'FAILED'}\n"
+        f"non-split extension: {'yes' if non_split else 'no'}"
+    )
 
 
 def cmd_orders(ns) -> Report:
@@ -336,23 +469,13 @@ def cmd_orders(ns) -> Report:
         structure: str = str(group_structure_cyclic(p, k))
     except Unspecified:
         structure = "unspecified"
-    lines = [
-        f"p={p} k={k}",
-        f"bordism order: {order}",
-        f"lens class order: {lens_order}",
-        f"group structure: {structure}",
-    ]
     extension: bool | str | None = None
     non_split: bool | str | None = None
     if k >= 2 and p >= 5:
         extension = extension_order_check(p, k)
         non_split = non_splitness_witness(p, k)
-        lines.append(f"extension order check: {'ok' if extension else 'FAILED'}")
-        lines.append(f"non-split extension: {'yes' if non_split else 'no'}")
     elif k >= 2:
         extension = non_split = "unspecified"
-        lines.append("extension order check: unspecified")
-        lines.append("non-split extension: unspecified")
     entry = {
         "p": p,
         "k": k,
@@ -362,12 +485,19 @@ def cmd_orders(ns) -> Report:
         "extension_order_check": extension,
         "non_splitness": non_split,
     }
-    return Report({"p": p, "k": k}, [entry], {"failures": 0}, lines, list(entry))
+    return Report({"p": p, "k": k}, [entry], _orders_text, list(entry))
+
+
+def _orders_d3_text(e: dict) -> str:
+    return (
+        f"p={e['p']} k={e['k']}\n"
+        f"group: m={e['m']} n={e['n']} r={e['r']} (order {e['group_order']})\n"
+        f"bordism order: {e['bordism_order']} (cyclic)"
+    )
 
 
 def cmd_orders_d3(ns) -> Report:
     params = d_pk3_params(ns.p, ns.k)
-    order = bordism_order_metacyclic_d3(ns.p, ns.k)
     entry = {
         "p": ns.p,
         "k": ns.k,
@@ -375,54 +505,61 @@ def cmd_orders_d3(ns) -> Report:
         "n": params.n,
         "r": params.r,
         "group_order": group_order(params),
-        "bordism_order": order,
+        "bordism_order": bordism_order_metacyclic_d3(ns.p, ns.k),
         "cyclic": True,
     }
-    lines = [
-        f"p={ns.p} k={ns.k}",
-        f"group: m={params.m} n={params.n} r={params.r} (order {entry['group_order']})",
-        f"bordism order: {order} (cyclic)",
-    ]
-    return Report({"p": ns.p, "k": ns.k}, [entry], {"failures": 0}, lines, list(entry))
+    return Report({"p": ns.p, "k": ns.k}, [entry], _orders_d3_text, list(entry))
 
 
 # ---------------------------------------------------------------------------
 # groups: enumeration of odd-order presentations
 
 
+def _groups_text(e: dict) -> str:
+    sylow = ",".join(f"{s['prime']}:{s['order']}" for s in e["sylow"]) or "-"
+    return (
+        f"order={e['order']} m={e['m']} n={e['n']} r={e['r']} sylow={sylow} "
+        f"theorem1={'yes' if e['theorem1_applies'] else 'no'}"
+    )
+
+
+def _groups_row(e: dict) -> list:
+    sylow = ";".join(f"{s['prime']}:{s['order']}" for s in e["sylow"])
+    return [e["order"], e["m"], e["n"], e["r"], sylow, e["theorem1_applies"]]
+
+
 def cmd_groups(ns) -> Report:
     if ns.max_order > GROUPS_MAX_ORDER:
         raise ValueError(f"--max-order must be at most {GROUPS_MAX_ORDER}, got {ns.max_order}")
     groups = enumerate_periodic_odd(ns.max_order)
-    entries = []
-    lines = [f"odd-order presentations with order <= {ns.max_order}"]
-    rows = []
-    for g in groups:
-        sylow = sylow_structure(g).entries
-        order = group_order(g)
-        applies = theorem1_applies(g)
-        entries.append({
-            "m": g.m,
-            "n": g.n,
-            "r": g.r,
-            "order": order,
-            "sylow": [{"prime": q, "order": o, "shape": shape} for q, o, shape in sylow],
-            "theorem1_applies": applies,
-        })
-        lines.append(
-            f"order={order} m={g.m} n={g.n} r={g.r} "
-            f"sylow={','.join(f'{q}:{o}' for q, o, _ in sylow) or '-'} "
-            f"theorem1={'yes' if applies else 'no'}"
-        )
-        rows.append([order, g.m, g.n, g.r, ";".join(f"{q}:{o}" for q, o, _ in sylow), applies])
-    lines.append(f"groups_listed={len(entries)}")
+    spf = _smallest_prime_factors(ns.max_order)
+
+    def entries():
+        for g in groups:
+            order = group_order(g)
+            yield {
+                "m": g.m,
+                "n": g.n,
+                "r": g.r,
+                "order": order,
+                # every Sylow subgroup is cyclic of the full prime-power
+                # order, as ``sylow_structure`` says
+                "sylow": [
+                    {"prime": q, "order": o, "shape": "cyclic"}
+                    for q, o in _prime_powers(order, spf)
+                ],
+                "theorem1_applies": theorem1_applies(g),
+            }
+
     return Report(
         {"max_order": ns.max_order},
-        entries,
-        {"groups_listed": len(entries), "failures": 0},
-        lines,
+        entries(),
+        _groups_text,
         ["order", "m", "n", "r", "sylow", "theorem1_applies"],
-        rows=rows,
+        to_row=_groups_row,
+        head=[f"odd-order presentations with order <= {ns.max_order}"],
+        summary={"groups_listed": len(groups), "failures": 0},
+        tail=[f"groups_listed={len(groups)}"],
     )
 
 
@@ -462,14 +599,12 @@ def build_parser() -> argparse.ArgumentParser:
             "workers on any machine)"
         ),
     )
-    lemma5.set_defaults(handler=cmd_lemma5)
 
     invariants = sub.add_parser(
         "invariants", help="Q, normalized invariant pair and canonical form of one lens space"
     )
     invariants.add_argument("--p", type=int, required=True)
     invariants.add_argument("--q", type=_triple, required=True, metavar="a,b,c")
-    invariants.set_defaults(handler=cmd_invariants)
 
     indep = sub.add_parser(
         "independent", help="independence verdict for two weight triples"
@@ -481,23 +616,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--brute", action="store_true",
         help=f"also run the exhaustive oracle (--p at most {BRUTE_MAX_P})",
     )
-    indep.set_defaults(handler=cmd_independent)
 
     orders = sub.add_parser("orders", help="bordism orders over a cyclic group of order p**k")
     orders.add_argument("--p", type=int, required=True)
     orders.add_argument("--k", type=int, default=1)
-    orders.set_defaults(handler=cmd_orders)
 
     orders_d3 = sub.add_parser(
         "orders-d3", help="bordism order over the metacyclic group (p**k, 3, r)"
     )
     orders_d3.add_argument("--p", type=int, required=True)
     orders_d3.add_argument("--k", type=int, default=1)
-    orders_d3.set_defaults(handler=cmd_orders_d3)
 
     groups = sub.add_parser("groups", help="enumerate odd-order presentations up to a bound")
     groups.add_argument("--max-order", type=int, required=True, dest="max_order")
-    groups.set_defaults(handler=cmd_groups)
 
     for command in sub.choices.values():
         command.add_argument("--format", choices=("text", "csv", "json"), default="text")
@@ -507,15 +638,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built by the first ``main`` call, not at import; parsing leaves it unchanged,
+# so every later call reuses it.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # looked up on each call, so a replaced or wrapped handler is the one run
+    handler = globals()["cmd_" + ns.command.replace("-", "_")]
     try:
-        report = ns.handler(ns)
-        out, err = render(report, ns.command, ns.format)
+        report = handler(ns)
+        if ns.out:
+            _write_file(report, ns.command, ns.format, ns.out)
+        else:
+            _write_report(report, ns.command, ns.format, sys.stdout)
     except (LensBordismError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -524,12 +667,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except KeyboardInterrupt:
         return EXIT_INTERRUPTED
-    if ns.out:
-        with open(ns.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
-    sys.stderr.write(err)
+    sys.stderr.write(
+        "".join((line if isinstance(line, str) else _json(line)) + "\n" for line in report.stderr)
+    )
     return report.code
 
 

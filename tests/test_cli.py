@@ -1,5 +1,6 @@
 """Tests for the command line front end."""
 
+import io
 import json
 import os
 import subprocess
@@ -7,16 +8,30 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from lensbordism import cli
-from lensbordism.cli import _lemma5_workers, main
+from lensbordism import __version__, cli
+from lensbordism.cli import Report, _json, _lemma5_workers, _write_report, main
+from lensbordism.groups import MetacyclicParams, sylow_structure
 from test_groups import _scan_periodic_odd
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def python(*args) -> subprocess.CompletedProcess:
+    """``python args`` in a fresh interpreter on this checkout's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
 
 
 class TestLemma5:
@@ -397,6 +412,17 @@ class TestGroups:
             assert a[0] == b[0] == 0
             assert a[1] == b[1]
 
+    def test_sylow_entries_match_sylow_structure(self, capsys):
+        # the CLI factors each order from one smallest-prime-factor table;
+        # ``sylow_structure`` factors it again by trial division
+        code, out, _ = run(capsys, "groups", "--max-order", "20000", "--format", "json")
+        assert code == 0
+        entries = json.loads(out)["entries"]
+        assert len(entries) > 10_000
+        for e in entries:
+            oracle = sylow_structure(MetacyclicParams(e["m"], e["n"], e["r"])).entries
+            assert [(s["prime"], s["order"], s["shape"]) for s in e["sylow"]] == list(oracle)
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -449,15 +475,11 @@ class TestFailurePolicy:
 
 
 def test_import_does_not_load_process_pool():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     code = (
         "import sys, lensbordism.cli; "
         "sys.exit('concurrent.futures.process' in sys.modules)"
     )
-    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
-    assert proc.returncode == 0
+    assert python("-c", code).returncode == 0
 
 
 def test_memory_error_is_one_error_line(capsys, monkeypatch):
@@ -486,3 +508,145 @@ def test_no_command_is_usage_error(capsys):
 
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+# JSON values as the standard library reads them: dicts keyed by strings,
+# lists, strings (ASCII and not), ints of any size, floats, bools and None.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.floats()
+    | st.text(st.characters(max_codepoint=127))
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@given(JSON_VALUES)
+@example({})
+@example([])
+@example({"a": [], "b": {}, "c": [[], {}], "\u00e9\u4e2d": -(2**70)})
+def test_json_writer_matches_json_dumps(value):
+    assert _json(value) == json.dumps(value, indent=2)
+
+
+@given(
+    st.dictionaries(st.text(), JSON_VALUES, max_size=3),
+    st.lists(JSON_VALUES, max_size=4),
+    st.dictionaries(st.text(), JSON_VALUES, max_size=3),
+)
+@example({}, [], {})
+def test_streamed_report_matches_json_dumps(params, entries, summary):
+    out = io.StringIO()
+    _write_report(Report(params, iter(entries), str, [], summary=summary), "cmd", "json", out)
+    data = {
+        "version": __version__,
+        "command": "cmd",
+        "params": params,
+        "entries": entries,
+        "summary": summary,
+    }
+    assert out.getvalue() == json.dumps(data, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("lemma5", "--min", "5", "--max", "20000", "--jobs", "1"),
+        ("lemma5", "--min", "5", "--max", "20000", "--jobs", "2"),
+        ("groups", "--max-order", "30000"),
+    ],
+)
+def test_json_report_is_standard_indent_2_at_scale(capsys, args):
+    code, out, _ = run(capsys, *args, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("lemma5", "--min", "10", "--max", "9"),
+        ("groups", "--max-order", "0"),
+        ("lemma5", "--min", "5", "--max", str(cli.LEMMA5_MAX + 1)),
+    ],
+)
+def test_input_error_leaves_out_file_alone(capsys, tmp_path, args):
+    fresh, existing = tmp_path / "new.json", tmp_path / "old.json"
+    existing.write_text("an earlier report\n", encoding="utf-8")
+    for path in (fresh, existing):
+        code, out, err = run(capsys, *args, "--format", "json", "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert not fresh.exists()
+    assert existing.read_text(encoding="utf-8") == "an earlier report\n"
+
+
+def test_interrupt_mid_report(capsys, monkeypatch, tmp_path):
+    argv = ("lemma5", "--min", "5", "--max", "100", "--format", "json")
+    full = run(capsys, *argv)[1]
+    real = cli.find_generator_pair
+    calls = []
+
+    def interrupted_at_third_prime(pm):
+        calls.append(int(pm))
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return real(pm)
+
+    monkeypatch.setattr(cli, "find_generator_pair", interrupted_at_third_prime)
+    fresh, existing = tmp_path / "new.json", tmp_path / "old.json"
+    existing.write_text("an earlier report\n", encoding="utf-8")
+    for path in (fresh, existing):
+        calls.clear()
+        assert run(capsys, *argv, "--out", str(path)) == (130, "", "")
+        assert calls == [5, 7, 11]
+        assert not path.exists()
+    # on stdout the report stops after the last entry written
+    calls.clear()
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (130, "")
+    assert full.startswith(out) and out.endswith('"brute_checked": true\n    }')
+    assert [e["p"] for e in json.loads(out + "]}")["entries"]] == [5, 7]
+
+
+def test_parser_reused_across_calls_matches_fresh_runs():
+    calls = [
+        ["groups", "--max-order", "60", "--format", "csv"],
+        ["lemma5", "--min", "5", "--max", "60", "--format", "json"],
+        ["orders", "--p", "5", "--k", "0"],
+        ["invariants", "--p", "13", "--q", "2,3,4"],
+    ]
+    script = """
+import contextlib, io, json, sys
+import lensbordism.cli as cli
+assert cli._parser is None  # not built at import
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+    proc = python("-c", script, json.dumps(calls))
+    assert proc.returncode == 0, proc.stderr
+    fresh = [python("-m", "lensbordism", *argv) for argv in calls]
+    assert json.loads(proc.stdout) == [[p.returncode, p.stdout, p.stderr] for p in fresh]
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_handler_is_looked_up_at_call_time(capsys, monkeypatch):
+    assert run(capsys, "orders", "--p", "5")[0] == 0  # the parser exists from here on
+    real, seen = cli.cmd_orders, []
+
+    def wrapped(ns):
+        seen.append(ns.p)
+        return real(ns)
+
+    monkeypatch.setattr(cli, "cmd_orders", wrapped)
+    assert run(capsys, "orders", "--p", "7")[0] == 0
+    assert seen == [7]
