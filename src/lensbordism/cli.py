@@ -76,6 +76,10 @@ BRUTE_MAX_P = 10**6
 # runs on every prime up to the bound, about N**2 / ln N steps in all, and
 # [5, 10000] took 1.13-1.17 s on the same machine.
 BRUTE_BELOW_MAX = 10**4
+# Largest `lemma5 --jobs`, per core: the process pool starts all its workers
+# at once, and 4 per core still admits the 3 workers that the determinism
+# check runs on a one-core machine.
+JOBS_PER_CORE = 4
 
 
 def _spread(entry: dict) -> list:
@@ -273,7 +277,8 @@ def _lemma5_workers(requested: int, tasks: int, cpus: int) -> int:
 
     ``requested`` 0 means one per core (``cpus``); any count is capped at the
     number of tasks; a count of 1 runs in this process.  More workers
-    than cores are allowed on purpose, so the pool path can run anywhere.
+    than cores are allowed on purpose, so the pool path can run anywhere;
+    ``cmd_lemma5`` rejects more than ``JOBS_PER_CORE`` per core beforehand.
     """
     return max(1, min(requested or cpus, tasks))
 
@@ -319,8 +324,14 @@ def cmd_lemma5(ns) -> Report:
         )
     if ns.jobs < 0:
         raise ValueError("--jobs must be nonnegative")
+    cpus = os.cpu_count() or 1
+    if ns.jobs > JOBS_PER_CORE * cpus:
+        raise ValueError(
+            f"--jobs must be at most {JOBS_PER_CORE * cpus} "
+            f"({JOBS_PER_CORE} per core), got {ns.jobs}"
+        )
     primes = [int(p) for p in primes_in_range(ns.min, ns.max)]
-    jobs = _lemma5_workers(ns.jobs, len(primes), os.cpu_count() or 1)
+    jobs = _lemma5_workers(ns.jobs, len(primes), cpus)
 
     def entries():
         failures = []
@@ -497,6 +508,9 @@ def _orders_d3_text(e: dict) -> str:
 
 
 def cmd_orders_d3(ns) -> Report:
+    # the order 9 * p**k is checked against its bound before d_pk3_params
+    # works mod p**k, which would take minutes at a k far beyond the bound
+    order = bordism_order_metacyclic_d3(ns.p, ns.k)
     params = d_pk3_params(ns.p, ns.k)
     entry = {
         "p": ns.p,
@@ -505,7 +519,7 @@ def cmd_orders_d3(ns) -> Report:
         "n": params.n,
         "r": params.r,
         "group_order": group_order(params),
-        "bordism_order": bordism_order_metacyclic_d3(ns.p, ns.k),
+        "bordism_order": order,
         "cyclic": True,
     }
     return Report({"p": ns.p, "k": ns.k}, [entry], _orders_d3_text, list(entry))
@@ -594,9 +608,9 @@ def build_parser() -> argparse.ArgumentParser:
     lemma5.add_argument(
         "--jobs", type=int, default=1,
         help=(
-            "worker processes (0 = all cores; capped at the number of primes but "
-            "not at the number of cores, so the determinism check can run 3 "
-            "workers on any machine)"
+            "worker processes (0 = all cores; capped at the number of primes; "
+            f"at most {JOBS_PER_CORE} per core, so the determinism check can run "
+            "3 workers on any machine)"
         ),
     )
 

@@ -16,13 +16,14 @@ d = gcd(n, p-1).  That subgroup has order prime to p, so reduction mod p
 is injective on it and 1 is its only element = 1 mod p: the local
 solutions are exactly its d - 1 nontrivial elements, and there are none
 for any n once some d is 1.  They are the powers of one element of exact
-order d, found from the primes of d alone.  The Chinese remainder theorem
-combines them into the r mod m.  In ascending order, the first r met in
-each cyclic subgroup <r> is kept and the generators of <r> are marked, so
-the work is ord(r) once per subgroup.  The cost is output-sensitive: a
-smallest-prime-factor table of max_order + 1 entries per call, one
-factorisation from it for each of the O(max_order log max_order) pairs
-(m, n), and work proportional to the admissible r built.
+order d (``_element_of_order``, from the primes of d alone).  The Chinese
+remainder theorem combines them into the r mod m.  In ascending order, the
+first r met in each cyclic subgroup <r> is kept and the generators of <r>
+(walked, like the roots, by ``_powers``) are marked, so the work is ord(r)
+once per subgroup.  The cost is output-sensitive: a smallest-prime-factor
+table of max_order + 1 entries per call, one factorisation from it for each
+of the O(max_order log max_order) pairs (m, n), and work proportional to
+the admissible r built.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import EvenOrder, NoPrimitiveCubeRoot
-from .numtheory import _factorize, is_prime
+from .numtheory import _element_of_order, _factorize, is_prime
 
 
 def validate_metacyclic(m: int, n: int, r: int) -> tuple[bool, str | None]:
@@ -117,8 +118,8 @@ def sylow_structure(params: MetacyclicParams) -> SylowDescriptor:
 
 def d_pk3_params(p: int, k: int) -> MetacyclicParams:
     """The presentation (p**k, 3, r) with r the least nontrivial cube root
-    of 1 mod p**k, a power of one element of exact order 3; exists exactly
-    when p = 1 mod 3."""
+    of 1 mod p**k: the lesser of h and h**2 for one h of exact order 3 mod
+    p**k (``_element_of_order``); exists exactly when p = 1 mod 3."""
     if p < 5 or not is_prime(p):
         raise ValueError(f"prime >= 5 required, got {p}")
     if k < 1:
@@ -126,7 +127,7 @@ def d_pk3_params(p: int, k: int) -> MetacyclicParams:
     if p % 3 != 1:
         raise NoPrimitiveCubeRoot(f"3 does not divide p - 1 for p = {p}")
     m = p**k
-    return MetacyclicParams(m, 3, min(_roots_of_unity(p, m, 3, [3])))
+    return MetacyclicParams(m, 3, min(_powers(_element_of_order(p, m, 3, [3]), m)))
 
 
 def _smallest_prime_factors(limit: int) -> list[int]:
@@ -152,24 +153,14 @@ def _prime_powers(k: int, spf: list[int]) -> list[tuple[int, int]]:
     return out
 
 
-def _roots_of_unity(p: int, q: int, d: int, primes_of_d: list[int]) -> list[int]:
-    """The d - 1 nontrivial d-th roots of unity mod q = p**e, for d dividing
-    p - 1, as the powers h, h**2, ..., h**(d-1) of one h of exact order d.
-
-    For a unit a, h = a**(phi(q)/d) has order dividing d, and exactly d
-    when h**(d/f) != 1 for every prime f of d.  A primitive root mod p below
-    p gives such an h, so the search over a = 2, 3, ... stops before p.
-    """
-    exponent = q // p * (p - 1) // d
-    for a in range(2, p):
-        h = pow(a, exponent, q)
-        if all(pow(h, d // f, q) != 1 for f in primes_of_d):
-            break
-    roots, x = [], h
-    for _ in range(d - 1):
-        roots.append(x)
-        x = x * h % q
-    return roots
+def _powers(x: int, m: int) -> list[int]:
+    """x, x**2, ... mod m, up to the last power before the first 1; x must
+    be a unit mod m > 1."""
+    powers, y = [], x
+    while y != 1:
+        powers.append(y)
+        y = y * x % m
+    return powers
 
 
 def _admissible_r(m: int, n: int, spf: list[int]) -> list[int]:
@@ -184,7 +175,8 @@ def _admissible_r(m: int, n: int, spf: list[int]) -> list[int]:
         d = gcd(n, p - 1)
         if n % p == 0 or d == 1:
             return []
-        local = _roots_of_unity(p, q, d, [f for f, _ in _prime_powers(d, spf)])
+        h = _element_of_order(p, q, d, [f for f, _ in _prime_powers(d, spf)])
+        local = _powers(h, q)
         inv = pow(modulus, -1, q)
         roots = [a + modulus * ((b - a) * inv % q) for a in roots for b in local]
         modulus *= q
@@ -222,10 +214,7 @@ def enumerate_periodic_odd(max_order: int) -> list[MetacyclicParams]:
                 if r in marked:
                     continue
                 found.append(MetacyclicParams(m, n, r))
-                powers, x = [], r
-                while x != 1:
-                    powers.append(x)
-                    x = x * r % m
+                powers = _powers(r, m)
                 order = len(powers) + 1
                 marked.update(y for a, y in enumerate(powers, 1) if gcd(a, order) == 1)
     found.sort(key=lambda g: (g.order, g.m, g.n, g.r))

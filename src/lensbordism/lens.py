@@ -34,8 +34,8 @@ from .errors import (
 from .numtheory import (
     PrimeModulus,
     ResidueClass,
-    _cbrt_mod,
-    _sqrt_mod,
+    _element_of_order,
+    _root_mod,
     is_prime,
     mod_inverse,
     sum_three_unit_squares,
@@ -137,11 +137,11 @@ def canonical_form(pair: PontrjaginPair) -> PontrjaginPair:
     divide p - 1, cubing permutes the units: c = 1, and the only such k is
     b0**-e with 3e = 1 mod p - 1.  Otherwise c / b0 is a cube exactly when
     (c / b0)**((p-1)/3) = 1, and the k are k0, k0 * w and k0 * w**2 for one
-    cube root k0 (``_cbrt_mod``) and the primitive cube root of unity
-    w = (-1 + sqrt(-3)) / 2.  The cost is one modular power per c tried
-    (the least c is small: the cubes are one of three cosets of equal size),
-    one cube root and one square root, O(log p) multiplications each rather
-    than the O(p) of a scan over k.
+    cube root k0 (``_root_mod``) and either primitive cube root of unity w
+    (``_element_of_order``): both give the same three k.  The cost is one
+    modular power per c tried (the least c is small: the cubes are one of
+    three cosets of equal size), one cube root and one search for w, O(log p)
+    multiplications each rather than the O(p) of a scan over k.
     """
     p = pair.modulus
     if not is_prime(p):
@@ -157,8 +157,8 @@ def canonical_form(pair: PontrjaginPair) -> PontrjaginPair:
     c = 1
     while pow(c, cube_test, p) != target:
         c += 1
-    k0 = _cbrt_mod(c * pow(b0, -1, p) % p, p)
-    w = (_sqrt_mod(p - 3, p) - 1) * (p + 1) // 2 % p
+    k0 = _root_mod(c * pow(b0, -1, p) % p, p, 3)
+    w = _element_of_order(p, p, 3, [3])
     x = k0 * b1 % p
     return PontrjaginPair.from_ints(c, min(x, x * w % p, x * w * w % p), p)
 

@@ -11,9 +11,9 @@ power (p-1)/2 (Euler's criterion), and the sum-of-three-unit-squares search
 always returns the lexicographically least witness so that downstream
 reports are reproducible bit for bit.  That search keeps no per-prime
 state: each candidate remainder is tested with Euler's criterion and, when
-it is a square, one Tonelli-Shanks root gives both of its roots, so a call
-costs a few O(log p) modular powers per candidate rather than an O(p) table
-of square roots.
+it is a square, one Adleman-Manders-Miller root (``_root_mod``, also the
+package's cube roots) gives both of its roots, so a call costs a few
+O(log p) modular powers per candidate rather than an O(p) table of roots.
 """
 
 from __future__ import annotations
@@ -227,77 +227,63 @@ def primes_in_range(lo: int, hi: int) -> list[PrimeModulus]:
     return [PrimeModulus._trusted(n) for n in range(lo, hi + 1) if sieve[n]]
 
 
-def _sqrt_mod(a: int, p: int) -> int:
-    """One square root of the nonzero quadratic residue a mod the odd prime p.
+def _element_of_order(p: int, q: int, d: int, primes_of_d: list[int]) -> int:
+    """An element h of exact order d mod q = p**e, for d dividing p - 1;
+    ``primes_of_d`` are the primes dividing d.
 
-    Tonelli-Shanks: write p - 1 = q * 2**s with q odd; the first guess
-    a**((q+1)/2) is corrected by powers of c = z**q, z a non-residue, until
-    the error term t = a**q has been walked down to 1.  When p = 3 mod 4
-    (s = 1) the first guess is already a root and no non-residue is needed.
+    For a unit a, h = a**(phi(q)/d) has order dividing d, and exactly d
+    when h**(d/f) != 1 for every prime f of d.  A primitive root mod p below
+    p gives such an h, so the search over a = 2, 3, ... stops before p; it
+    raises ``ValueError`` if it does not (when d does not divide p - 1).
     """
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    r, t = pow(a, (q + 1) // 2, p), pow(a, q, p)
-    if t == 1:
-        return r
-    z = 2
-    while pow(z, (p - 1) // 2, p) == 1:
-        z += 1
-    c, m = pow(z, q, p), s
-    while t != 1:
-        # least i with t**(2**i) == 1; i < m because t has order dividing 2**(m-1)
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        c = b * b % p
-        m, t, r = i, t * c % p, r * b % p
-    return r
+    exponent = q // p * (p - 1) // d
+    for a in range(2, p):
+        h = pow(a, exponent, q)
+        for f in primes_of_d:  # not all(...), which costs 3x the loop here
+            if pow(h, d // f, q) == 1:
+                break
+        else:
+            return h
+    raise ValueError(f"no element of order {d} mod {q}")
 
 
-def _cbrt_mod(a: int, p: int) -> int:
-    """One cube root of the nonzero cube residue a mod the prime p = 1 mod 3.
+def _root_mod(a: int, p: int, r: int) -> int:
+    """One r-th root of the nonzero r-th power residue a mod the prime p,
+    for a prime r dividing p - 1.
 
-    Adleman-Manders-Miller for cube roots, the analogue of ``_sqrt_mod``:
-    write p - 1 = t * 3**s with 3 not dividing t and take e with 3e = 1 mod t.
-    The first guess r = a**e has error r**3 / a = a**(3e-1), an element of
-    the cyclic 3-Sylow subgroup of order at most 3**(s-1).  Each round
-    multiplies r by a power of c, a generator of a shrinking 3-subgroup (at
-    first c = z**t, z a cubic non-residue), chosen so that the error's order
-    drops by a factor 3.  When the first guess is a root no non-residue is
-    needed.
+    Adleman-Manders-Miller (FOCS 1977; Tonelli-Shanks at r = 2): with
+    p - 1 = t * r**s, r not dividing t, and r*e = 1 mod t, the guess x = a**e
+    has error x**r / a = a**(r*e - 1), an r-th power in the cyclic r-Sylow
+    subgroup.  Each round multiplies x by a power of c, a generator of a
+    shrinking r-subgroup (at first of order r**s, from ``_element_of_order``),
+    so that the error's order drops by a factor r.  A first guess that is
+    already a root, as for r = 2 at p = 3 mod 4, needs no generator.
     """
     t, s = p - 1, 0
-    while t % 3 == 0:
-        t //= 3
+    while t % r == 0:
+        t //= r
         s += 1
-    e = pow(3, -1, t)
-    r, err = pow(a, e, p), pow(a, 3 * e - 1, p)
+    e = pow(r, -1, t)
+    x, err = pow(a, e, p), pow(a, r * e - 1, p)
     if err == 1:
-        return r
-    cube_test = (p - 1) // 3
-    z = 2
-    while pow(z, cube_test, p) == 1:
-        z += 1
-    c, m = pow(z, t, p), s
+        return x
+    c, m = _element_of_order(p, p, r**s, [r]), s
+    u = pow(c, r ** (s - 1), p)  # order r; equal to c**(r**(m-1)) for every c below
     while err != 1:
-        # least i with err**(3**i) == 1, and w = err**(3**(i-1)), a primitive
-        # cube root of 1; i < m because err lies in the cubes of <c>, a
-        # subgroup of order 3**(m-1)
-        i, e3 = 0, err
-        while e3 != 1:
-            w, e3, i = e3, pow(e3, 3, p), i + 1
-        b = pow(c, 3 ** (m - i - 1), p)  # order 3**(i+1)
-        c = b * b * b % p  # order 3**i, so u = c**(3**(i-1)) has order 3
-        # r * b turns err into err * c, r * b**2 into err * c**2; at the power
-        # 3**(i-1) these give w * u and w * u**2, and one of the two is 1
-        if pow(c, 3 ** (i - 1), p) == w:
-            b = b * b % p
-        m, err, r = i, err * pow(b, 3, p) % p, r * b % p
-    return r
+        # least i with err**(r**i) == 1, and w = err**(r**(i-1)), of order r;
+        # i < m because err lies in the r-th powers of <c>, of order r**(m-1)
+        i, y = 0, err
+        while y != 1:
+            w, y, i = y, y**r % p, i + 1
+        b = pow(c, r ** (m - i - 1), p)  # order r**(i+1)
+        c = b**r % p  # order r**i
+        # x * b**j turns err into err * c**j, whose power r**(i-1) is
+        # w * u**j: take the j in [1, r) with w * u**j = 1
+        bj, cj, uj = b, c, u
+        while w * uj % p != 1:
+            bj, cj, uj = bj * b % p, cj * c % p, uj * u % p
+        m, err, x = i, err * cj % p, x * bj % p
+    return x
 
 
 def sum_three_unit_squares(
@@ -312,7 +298,7 @@ def sum_three_unit_squares(
     Candidates (t1, t2) with t1 <= t2 are taken in lexicographic order.  The
     remainder s = target - t1**2 - t2**2 is skipped when it is 0 (t3 would
     not be a unit) or fails Euler's criterion; otherwise its roots are r and
-    p - r for one Tonelli-Shanks root r, and t3 is the smaller of the two
+    p - r for one root r (``_root_mod``), and t3 is the smaller of the two
     that is at least t2.  Every unit triple reorders to t1 <= t2 <= t3 with
     the same squares, so no triple is lost, and for fixed (t1, t2) the least
     admissible t3 is the least triple with that prefix: the first hit is the
@@ -332,7 +318,7 @@ def sum_three_unit_squares(
             s = (s1 - t2 * t2) % pp
             if s == 0 or pow(s, half, pp) != 1:
                 continue
-            r = _sqrt_mod(s, pp)
+            r = _root_mod(s, pp, 2)
             lo = min(r, pp - r)
             if lo >= t2:
                 return (t1, t2, lo)

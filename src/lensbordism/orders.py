@@ -117,10 +117,21 @@ def e2_diagonal(n: int) -> E2Diagonal:
     return E2Diagonal(n, terms)
 
 
-def _checked(value: int) -> int:
-    if value > _MAX_INT:
-        raise OverflowError(f"{value} exceeds the supported 2**63 - 1 bound")
-    return value
+def _checked_power(base: int, exponent: int, factor: int = 1) -> int:
+    """factor * base**exponent for base >= 2, if at most 2**63 - 1.
+
+    A base of b bits is at least 2**(b-1), so exponent * (b-1) >= 63 is
+    rejected before any power is built, and any power built is below 2**128.
+    The error names the power, not its digits.
+    """
+    if exponent * (base.bit_length() - 1) < 63:
+        value = factor * base**exponent
+        if value <= _MAX_INT:
+            return value
+    prefix = f"{factor} * " if factor != 1 else ""
+    raise OverflowError(
+        f"{prefix}{base}**{exponent} exceeds the supported 2**63 - 1 bound"
+    )
 
 
 def _check_odd_prime(p: int) -> None:
@@ -137,7 +148,7 @@ def bordism_order_cyclic(p: int, k: int) -> int:
     """p**(2k), the product of the two nonvanishing diagonal orders."""
     _check_odd_prime(p)
     _check_exponent(k)
-    return _checked(p ** (2 * k))
+    return _checked_power(p, 2 * k)
 
 
 def lens_class_order(p: int, k: int) -> int:
@@ -152,7 +163,7 @@ def lens_class_order(p: int, k: int) -> int:
         if k == 1:
             return 9
         raise Unspecified("lens-class order for p = 3, k >= 2 is not encoded")
-    return _checked(p**k)
+    return _checked_power(p, k)
 
 
 def group_structure_cyclic(p: int, k: int) -> AbelianGroup:
@@ -209,8 +220,8 @@ def bordism_order_metacyclic_d3(p: int, k: int) -> int:
     to exist."""
     _check_odd_prime(p)
     if p < 5:
-        raise ValueError("p >= 5 required")
+        raise ValueError(f"p >= 5 required, got {p}")
     _check_exponent(k)
     if p % 3 != 1:
-        raise NoSuchGroup(f"no nontrivial cube root of 1 mod {p}**{k}")
-    return _checked(9 * p**k)
+        raise NoSuchGroup(f"3 does not divide p - 1 for p = {p}")
+    return _checked_power(p, k, 9)

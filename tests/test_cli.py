@@ -1,10 +1,12 @@
 """Tests for the command line front end."""
 
+import concurrent.futures
 import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -128,6 +130,26 @@ class TestLemma5:
         assert code == 2
         assert out == ""
         assert "--jobs" in err
+
+    def test_jobs_above_bound_is_usage_error_before_any_work(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sieve or pool started")
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "primes_in_range", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        for jobs in ("9", "100000"):
+            code, out, err = run(
+                capsys, "lemma5", "--min", "5", "--max", "1000000", "--jobs", jobs
+            )
+            assert (code, out) == (2, "")
+            assert err == f"error: --jobs must be at most 8 (4 per core), got {jobs}\n"
+        # on one core the bound still admits the counts in use: 1, 2, 4 and
+        # the determinism check's max(cpu_count, 3); each reaches the sieve
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+        for jobs in ("1", "2", "3", "4"):
+            with pytest.raises(AssertionError, match="sieve or pool started"):
+                main(["lemma5", "--min", "5", "--max", "13", "--jobs", jobs])
 
     def test_max_above_cap_is_input_error(self, capsys, monkeypatch):
         def no_sieve(lo, hi):
@@ -326,6 +348,22 @@ class TestOrders:
         assert run(capsys, "orders", "--p", "5", "--k", "0") == (
             2, "", "error: k must be at least 1, got 0\n"
         )
+
+    @pytest.mark.parametrize(
+        "command, p, k, power",
+        [
+            ("orders", "3", "30000000", "3**60000000"),
+            ("orders", "3", "100000", "3**200000"),
+            ("orders-d3", "7", "3000", "9 * 7**3000"),
+            ("orders-d3", "7", "20000", "9 * 7**20000"),
+        ],
+    )
+    def test_large_k_is_input_error_naming_the_bound(self, capsys, command, p, k, power):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--p", p, "--k", k)
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (2, "")
+        assert err == f"error: {power} exceeds the supported 2**63 - 1 bound\n"
 
 
 class TestOrdersD3:

@@ -8,7 +8,7 @@ from lensbordism.errors import EvenOrder, NoPrimitiveCubeRoot
 from lensbordism.groups import (
     MetacyclicParams,
     _admissible_r,
-    _roots_of_unity,
+    _powers,
     _smallest_prime_factors,
     d_pk3_params,
     enumerate_periodic_odd,
@@ -17,7 +17,7 @@ from lensbordism.groups import (
     theorem1_applies,
     validate_metacyclic,
 )
-from lensbordism.numtheory import is_prime, primes_in_range
+from lensbordism.numtheory import _element_of_order, is_prime, primes_in_range
 
 
 def _scan_periodic_odd(max_order):
@@ -291,7 +291,10 @@ def test_roots_of_unity_are_the_nontrivial_dth_roots():
                 if (p - 1) % d:
                     continue
                 primes_of_d = [f for f in range(2, d + 1) if d % f == 0 and is_prime(f)]
-                roots = _roots_of_unity(p, q, d, primes_of_d)
+                roots = _powers(_element_of_order(p, q, d, primes_of_d), q)
                 assert len(roots) == len(set(roots)) == d - 1, (q, d)
                 assert all(pow(x, d, q) == 1 and x % q != 1 for x in roots), (q, d)
             q *= p
+    # d = 9 does not divide 7 - 1: every candidate gives 1, and the search raises
+    with pytest.raises(ValueError):
+        _element_of_order(7, 7, 9, [3])

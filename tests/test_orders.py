@@ -86,6 +86,13 @@ class TestBordismOrderCyclic:
     def test_overflow_reported(self):
         with pytest.raises(OverflowError):
             bordism_order_cyclic(1000003, 2)
+        # decided from p and k, without building a power of about 10**18 digits
+        with pytest.raises(OverflowError, match=r"3\*\*2000000000000000000 exceeds"):
+            bordism_order_cyclic(3, 10**18)
+        with pytest.raises(OverflowError, match=r"^5\*\*1000000000000000000 exceeds"):
+            lens_class_order(5, 10**18)
+        with pytest.raises(OverflowError, match=r"^9 \* 7\*\*1000000000000000000 exceeds"):
+            bordism_order_metacyclic_d3(7, 10**18)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
