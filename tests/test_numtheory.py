@@ -313,18 +313,27 @@ class TestSumThreeUnitSquares:
                 ), (p, target)
 
 
-class TestRootMod:
-    # r = 2: p - 1 = 2**4, 2**5 * 3, 2**6 * 3, 2**8, 2**9 * 15, 2**16: the
-    # error term is walked down through up to 16 squarings; 7919 = 3 mod 4
-    # takes the one-power shortcut.  r = 3: every p = 1 mod 3 below 2000,
-    # among them 1459 = 2 * 3**6 + 1.
-    @pytest.mark.parametrize(
-        "r, p",
-        [(2, p) for p in (17, 97, 193, 257, 7681, 65537, 7919)]
-        + [(3, p) for p in range(7, 2000) if p % 3 == 1 and is_prime(p)],
-    )
-    def test_root_powers_back_for_every_residue(self, r, p):
-        for a in {pow(x, r, p) for x in range(1, p)}:
-            root = _root_mod(a, p, r)
-            assert 1 <= root < p
-            assert pow(root, r, p) == a, (p, a)
+class TestSqrtMod:
+    # p - 1 = 2**4, 2**5 * 3, 2**6 * 3, 2**8, 2**9 * 15, 2**16: Tonelli-Shanks
+    # (_root_mod at r = 2) walks its error term down through up to 16
+    # squarings; 7919 = 3 mod 4 takes the one-power shortcut.
+    @pytest.mark.parametrize("p", [17, 97, 193, 257, 7681, 65537, 7919])
+    def test_root_squares_back_for_every_residue(self, p):
+        for x in range(1, (p + 1) // 2):
+            a = x * x % p
+            r = _root_mod(a, p, 2)
+            assert 1 <= r < p
+            assert r * r % p == a
+
+
+class TestCbrtMod:
+    # Every p = 1 mod 3 below 2000, among them 1459 = 2 * 3**6 + 1.
+    def test_root_cubes_back_for_every_cube_residue(self):
+        for p in primes_in_range(7, 2000):
+            p = int(p)
+            if p % 3 != 1:
+                continue
+            for a in {x * x * x % p for x in range(1, p)}:
+                r = _root_mod(a, p, 3)
+                assert 1 <= r < p
+                assert pow(r, 3, p) == a, (p, a)
