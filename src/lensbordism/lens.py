@@ -23,6 +23,7 @@ candidates it tried.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -44,33 +45,38 @@ from .numtheory import (
 
 @dataclass(frozen=True)
 class LensSpace:
-    """An odd prime p and a triple of unit weights mod p."""
+    """An odd prime p and a triple of unit weights mod p.
+
+    The weights are stored reduced into [1, p), as ints.  A weight may be
+    given as any integer or as a ``ResidueClass`` mod p.
+    """
 
     p: PrimeModulus
-    weights: tuple[ResidueClass, ResidueClass, ResidueClass]
+    weights: tuple[int, int, int]
 
     def __post_init__(self) -> None:
         p = self.p if isinstance(self.p, PrimeModulus) else PrimeModulus(self.p)
         object.__setattr__(self, "p", p)
-        pp = int(p)
-        if pp < 3 or pp % 2 == 0:
+        pp = p.p
+        if pp == 2:
             raise ValueError(f"odd prime >= 3 required, got {pp}")
         if len(self.weights) != 3:
             raise ValueError("exactly three weights required")
         ws = []
         for w in self.weights:
-            r = w if isinstance(w, ResidueClass) else ResidueClass(w, pp)
-            if r.modulus != pp:
-                raise ModulusMismatch(f"weight mod {r.modulus} vs p={pp}")
-            if not r.is_unit:
-                raise NotAUnit(
-                    f"weight {int(r)} is 0 mod {pp}; the action would not be free"
-                )
-            ws.append(r)
+            if isinstance(w, ResidueClass):
+                if w.modulus != pp:
+                    raise ModulusMismatch(f"weight mod {w.modulus} vs p={pp}")
+                w = w.value
+            # operator.index, not int(), so that 1.5 raises instead of truncating
+            v = operator.index(w) % pp
+            if not v:
+                raise NotAUnit(f"weight 0 is 0 mod {pp}; the action would not be free")
+            ws.append(v)
         object.__setattr__(self, "weights", tuple(ws))
 
     def weight_values(self) -> tuple[int, int, int]:
-        return tuple(int(w) for w in self.weights)
+        return self.weights
 
 
 @dataclass(frozen=True)
@@ -101,7 +107,7 @@ class PontrjaginPair:
 def q_sum(lens: LensSpace) -> ResidueClass:
     """Sum of the squared weights mod p: the slope beta1/beta0 of the pair."""
     w1, w2, w3 = lens.weights
-    return w1 * w1 + w2 * w2 + w3 * w3
+    return ResidueClass(w1 * w1 + w2 * w2 + w3 * w3, lens.p.p)
 
 
 def pontrjagin_pair(lens: LensSpace) -> PontrjaginPair:

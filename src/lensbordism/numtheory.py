@@ -298,12 +298,15 @@ def sum_three_unit_squares(
     Candidates (t1, t2) with t1 <= t2 are taken in lexicographic order.  The
     remainder s = target - t1**2 - t2**2 is skipped when it is 0 (t3 would
     not be a unit) or fails Euler's criterion; otherwise its roots are r and
-    p - r for one root r (``_root_mod``), and t3 is the smaller of the two
-    that is at least t2.  Every unit triple reorders to t1 <= t2 <= t3 with
-    the same squares, so no triple is lost, and for fixed (t1, t2) the least
-    admissible t3 is the least triple with that prefix: the first hit is the
-    lexicographically least triple.  Each candidate costs one modular power
-    and, for residues, one square root of O(log p) powers; no table is built.
+    p - r for one root r (``_root_mod``), and t3 is the smaller one, lo.
+    Every unit triple reorders to t1 <= t2 <= t3 with the same squares, so
+    no triple is lost, and for fixed (t1, t2) the least t3 is the least
+    triple with that prefix.  At the first hit lo >= t2 already: were
+    lo < t2, then (t1, lo), or (lo, t1) when lo < t1, would be an earlier
+    candidate with the nonzero square remainder t2**2.  So the first hit is
+    the lexicographically least triple.  Each candidate costs one modular
+    power and, for residues, one square root of O(log p) powers; no table
+    is built.
     """
     pp = int(p)
     if pp < 5:
@@ -319,9 +322,5 @@ def sum_three_unit_squares(
             if s == 0 or pow(s, half, pp) != 1:
                 continue
             r = _root_mod(s, pp, 2)
-            lo = min(r, pp - r)
-            if lo >= t2:
-                return (t1, t2, lo)
-            if pp - lo >= t2:
-                return (t1, t2, pp - lo)
+            return (t1, t2, min(r, pp - r))
     return None

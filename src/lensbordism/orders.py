@@ -134,20 +134,19 @@ def _checked_power(base: int, exponent: int, factor: int = 1) -> int:
     )
 
 
-def _check_odd_prime(p: int) -> None:
+def _check(p: int, k: int, min_p: int = 3, min_k: int = 1) -> None:
+    """Reject a p that is not an odd prime >= min_p, or a k below min_k."""
     if p % 2 == 0 or not is_prime(p):
         raise ValueError(f"odd prime required, got {p}")
-
-
-def _check_exponent(k: int, minimum: int = 1) -> None:
-    if k < minimum:
-        raise ValueError(f"k must be at least {minimum}, got {k}")
+    if p < min_p:
+        raise ValueError(f"p >= {min_p} required, got {p}")
+    if k < min_k:
+        raise ValueError(f"k must be at least {min_k}, got {k}")
 
 
 def bordism_order_cyclic(p: int, k: int) -> int:
     """p**(2k), the product of the two nonvanishing diagonal orders."""
-    _check_odd_prime(p)
-    _check_exponent(k)
+    _check(p, k)
     return _checked_power(p, 2 * k)
 
 
@@ -157,8 +156,7 @@ def lens_class_order(p: int, k: int) -> int:
     p**k for p >= 5; 9 for (p, k) = (3, 1).  The value for p = 3, k >= 2 is
     not encoded and raises ``Unspecified``.
     """
-    _check_odd_prime(p)
-    _check_exponent(k)
+    _check(p, k)
     if p == 3:
         if k == 1:
             return 9
@@ -169,8 +167,7 @@ def lens_class_order(p: int, k: int) -> int:
 def group_structure_cyclic(p: int, k: int) -> AbelianGroup:
     """Isomorphism type of the bordism group, known only for k = 1:
     Z_9 at p = 3 and Z_p x Z_p for p >= 5."""
-    _check_odd_prime(p)
-    _check_exponent(k)
+    _check(p, k)
     if k != 1:
         raise Unspecified(
             "only the order is encoded for k >= 2, not the isomorphism type"
@@ -181,23 +178,15 @@ def group_structure_cyclic(p: int, k: int) -> AbelianGroup:
 def extension_order_check(p: int, k: int) -> bool:
     """Middle order equals the product of the outer orders in the
     restriction/transfer extension relating exponents k-1, k and 1."""
-    _check_odd_prime(p)
-    if p < 5:
-        raise ValueError("p >= 5 required")
-    _check_exponent(k, 2)
-    return bordism_order_cyclic(p, k) == bordism_order_cyclic(
-        p, k - 1
-    ) * bordism_order_cyclic(p, 1)
+    _check(p, k, 5, 2)
+    return _checked_power(p, 2 * k) == _checked_power(p, 2 * k - 2) * _checked_power(p, 2)
 
 
 def non_splitness_witness(p: int, k: int) -> bool:
     """A lens class of order p**k > p certifies that the extension does not
     split off a direct sum of exponent-p groups; true for every k >= 2."""
-    _check_odd_prime(p)
-    if p < 5:
-        raise ValueError("p >= 5 required")
-    _check_exponent(k, 2)
-    return lens_class_order(p, k) > p
+    _check(p, k, 5, 2)
+    return _checked_power(p, k) > p
 
 
 def transfer_inclusion_scalar(subgroup_index: int, class_order: int) -> int:
@@ -218,10 +207,7 @@ def bordism_order_metacyclic_d3(p: int, k: int) -> int:
     """9 * p**k, the order of the (cyclic) bordism group over the metacyclic
     group with parameters (p**k, 3, r); requires p = 1 mod 3 for the group
     to exist."""
-    _check_odd_prime(p)
-    if p < 5:
-        raise ValueError(f"p >= 5 required, got {p}")
-    _check_exponent(k)
+    _check(p, k, 5)
     if p % 3 != 1:
         raise NoSuchGroup(f"3 does not divide p - 1 for p = {p}")
     return _checked_power(p, k, 9)

@@ -164,6 +164,11 @@ class TestLemma5:
         at_cap = str(cli.LEMMA5_MAX)
         assert run(capsys, "lemma5", "--min", "999990", "--max", at_cap)[0] == 0
 
+    def test_negative_brute_below_is_input_error(self, capsys):
+        assert run(
+            capsys, "lemma5", "--min", "5", "--max", "13", "--brute-below", "-1"
+        ) == (2, "", "error: --brute-below must be nonnegative\n")
+
     def test_brute_below_above_cap_is_input_error(self, capsys, monkeypatch):
         def fail(*args):
             raise AssertionError("search ran")
@@ -236,6 +241,11 @@ class TestInvariants:
     def test_malformed_triple_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "invariants", "--p", "5", "--q", "1,1")
         assert code == 2
+
+    def test_non_integer_triple_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "invariants", "--p", "5", "--q", "1,x,2")
+        assert (code, out) == (2, "")
+        assert "--q" in err
 
     def test_eighteen_digit_p(self, capsys):
         code, out, _ = run(
@@ -339,6 +349,23 @@ class TestOrders:
         code, out, _ = run(capsys, "orders", "--p", "5", "--k", "1")
         assert code == 0
         assert "group structure: Z_5 x Z_5" in out
+
+    def test_p_is_tested_for_primality_once_per_formula(self, capsys, monkeypatch):
+        from lensbordism import numtheory, orders
+
+        calls = []
+
+        def counting_is_prime(n, _is_prime=numtheory.is_prime):
+            calls.append(n)
+            return _is_prime(n)
+
+        monkeypatch.setattr(numtheory, "is_prime", counting_is_prime)  # PrimeModulus
+        monkeypatch.setattr(orders, "is_prime", counting_is_prime)
+        code, out, _ = run(capsys, "orders", "--p", "5", "--k", "2")
+        assert code == 0 and "non-split extension: yes" in out
+        # the handler's own check, then one per formula: the bordism and lens
+        # class orders, the group structure, the extension check, non-splitness
+        assert len(calls) <= 6, calls
 
     def test_p2_is_input_error(self, capsys):
         code, _, _ = run(capsys, "orders", "--p", "2", "--k", "1")

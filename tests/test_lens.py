@@ -42,6 +42,8 @@ class TestLensSpace:
     def test_weights_reduced_and_checked(self):
         L = lens(5, 6, 1, 2)
         assert L.weight_values() == (1, 1, 2)
+        assert L.weights == (1, 1, 2)
+        assert all(type(w) is int for w in L.weights)
 
     def test_zero_weight_rejected(self):
         with pytest.raises(NotAUnit):
@@ -50,6 +52,24 @@ class TestLensSpace:
     def test_even_p_rejected(self):
         with pytest.raises(ValueError):
             lens(2, 1, 1, 1)
+
+    def test_zero_weight_message(self):
+        with pytest.raises(NotAUnit, match=r"^weight 0 is 0 mod 5; the action would not be free$"):
+            lens(5, 1, 10, 2)
+
+    def test_weight_of_another_modulus_rejected(self):
+        with pytest.raises(ModulusMismatch):
+            lens(5, 1, ResidueClass(1, 7), 2)
+        assert lens(5, 1, ResidueClass(6, 5), 2).weight_values() == (1, 1, 2)
+
+    def test_two_weights_rejected(self):
+        with pytest.raises(ValueError):
+            lens(5, 1, 1)
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "1"])
+    def test_non_integer_weight_rejected(self, bad):
+        with pytest.raises(TypeError):
+            lens(5, 1, bad, 2)
 
 
 class TestQSum:
@@ -84,6 +104,11 @@ class TestReparametrize:
         assert reparametrize(base, 1).values() == (1, 3)
         assert reparametrize(base, 2).values() == (3, 1)
         assert reparametrize(base, 4).values() == (4, 2)
+
+    def test_k_of_another_modulus_rejected(self):
+        with pytest.raises(ModulusMismatch):
+            reparametrize(pair(1, 3, 5), ResidueClass(2, 7))
+        assert reparametrize(pair(1, 3, 5), ResidueClass(2, 5)).values() == (3, 1)
 
     def test_non_unit_rejected(self):
         with pytest.raises(NotAUnit):

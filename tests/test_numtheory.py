@@ -262,6 +262,11 @@ class TestSumThreeUnitSquares:
         with pytest.raises(ValueError):
             sum_three_unit_squares(1, PrimeModulus(3))
 
+    def test_target_of_another_modulus_rejected(self):
+        with pytest.raises(ModulusMismatch):
+            sum_three_unit_squares(ResidueClass(3, 7), PrimeModulus(5))
+        assert sum_three_unit_squares(ResidueClass(3, 5), PrimeModulus(5)) == (1, 1, 1)
+
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_lex_least_against_naive_scan(self, p):
         pm = PrimeModulus(p)

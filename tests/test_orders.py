@@ -152,6 +152,12 @@ class TestNonSplitness:
         assert non_splitness_witness(7, 2) is True
         assert non_splitness_witness(11, 5) is True
 
+    def test_bad_inputs(self):
+        with pytest.raises(ValueError):
+            non_splitness_witness(3, 2)
+        with pytest.raises(ValueError):
+            non_splitness_witness(5, 1)
+
 
 class TestTransferInclusionScalar:
     def test_examples(self):
