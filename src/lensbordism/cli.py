@@ -379,7 +379,7 @@ def cmd_invariants(ns) -> Report:
     entry = {
         "p": ns.p,
         "weights": list(lens.weight_values()),
-        "Q": int(q_sum(lens)),
+        "Q": q_sum(lens),
         "pair": list(pair.values()),
         "canonical": list(canonical_form(pair).values()),
     }
@@ -425,8 +425,8 @@ def cmd_independent(ns) -> Report:
         "p": ns.p,
         "weights_a": list(lens_a.weight_values()),
         "weights_b": list(lens_b.weight_values()),
-        "Q": int(q_sum(lens_a)),
-        "R": int(q_sum(lens_b)),
+        "Q": q_sum(lens_a),
+        "R": q_sum(lens_b),
         "independent": verdict,
         "oracle": oracle,
         "agree": agree,

@@ -4,8 +4,9 @@ A lens space here is an odd prime p together with a triple of unit weights
 mod p; it stands for the quotient of the unit 5-sphere by the rotation action
 with those weights (the weights must be units for the action to be free).
 Its characteristic data is the pair (beta0, beta1) of residues mod p, with
-beta1 = (q1**2 + q2**2 + q3**2) * beta0.  We normalize beta0 = 1 by fixing
-the classifying map; the residual ambiguity is the reparametrization
+beta1 = (q1**2 + q2**2 + q3**2) * beta0; weights and pairs are stored as ints
+reduced mod p, checked once when built.  We normalize beta0 = 1 by fixing the
+classifying map; the residual ambiguity is the reparametrization
 
     (beta0, beta1)  ->  (k**3 * beta0, k * beta1),   k a unit,
 
@@ -36,9 +37,9 @@ from .numtheory import (
     PrimeModulus,
     ResidueClass,
     _element_of_order,
+    _residue,
     _root_mod,
     is_prime,
-    mod_inverse,
     sum_three_unit_squares,
 )
 
@@ -64,12 +65,7 @@ class LensSpace:
             raise ValueError("exactly three weights required")
         ws = []
         for w in self.weights:
-            if isinstance(w, ResidueClass):
-                if w.modulus != pp:
-                    raise ModulusMismatch(f"weight mod {w.modulus} vs p={pp}")
-                w = w.value
-            # operator.index, not int(), so that 1.5 raises instead of truncating
-            v = operator.index(w) % pp
+            v = _residue(w, pp)
             if not v:
                 raise NotAUnit(f"weight 0 is 0 mod {pp}; the action would not be free")
             ws.append(v)
@@ -81,52 +77,54 @@ class LensSpace:
 
 @dataclass(frozen=True)
 class PontrjaginPair:
-    """The invariant pair (beta0, beta1) of residues sharing one modulus."""
+    """The invariant pair (beta0, beta1), stored as ints in [0, modulus).
 
-    beta0: ResidueClass
-    beta1: ResidueClass
+    A component may be any integer or a ``ResidueClass`` mod the modulus,
+    which may be left out when both components are ``ResidueClass``es."""
+
+    beta0: int
+    beta1: int
+    modulus: int | None = None
 
     def __post_init__(self) -> None:
-        if self.beta0.modulus != self.beta1.modulus:
-            raise ModulusMismatch(
-                f"beta0 mod {self.beta0.modulus} vs beta1 mod {self.beta1.modulus}"
-            )
+        m = self.modulus
+        if m is None:
+            m = self.beta0.modulus
+            if self.beta1.modulus != m:
+                raise ModulusMismatch(f"beta0 mod {m}, beta1 mod {self.beta1.modulus}")
+        m = operator.index(m)
+        if m < 1:
+            raise ValueError("modulus must be positive")
+        object.__setattr__(self, "modulus", m)
+        object.__setattr__(self, "beta0", _residue(self.beta0, m))
+        object.__setattr__(self, "beta1", _residue(self.beta1, m))
 
     @classmethod
     def from_ints(cls, beta0: int, beta1: int, modulus: int) -> "PontrjaginPair":
-        return cls(ResidueClass(beta0, modulus), ResidueClass(beta1, modulus))
-
-    @property
-    def modulus(self) -> int:
-        return self.beta0.modulus
+        return cls(beta0, beta1, modulus)
 
     def values(self) -> tuple[int, int]:
-        return (int(self.beta0), int(self.beta1))
+        return (self.beta0, self.beta1)
 
 
-def q_sum(lens: LensSpace) -> ResidueClass:
-    """Sum of the squared weights mod p: the slope beta1/beta0 of the pair."""
+def q_sum(lens: LensSpace) -> int:
+    """Sum of the squared weights mod p, as an int: the slope beta1/beta0."""
     w1, w2, w3 = lens.weights
-    return ResidueClass(w1 * w1 + w2 * w2 + w3 * w3, lens.p.p)
+    return (w1 * w1 + w2 * w2 + w3 * w3) % lens.p.p
 
 
 def pontrjagin_pair(lens: LensSpace) -> PontrjaginPair:
     """The invariant pair of a lens space, classifying map fixed so beta0 = 1."""
-    return PontrjaginPair(ResidueClass(1, int(lens.p)), q_sum(lens))
+    return PontrjaginPair(1, q_sum(lens), lens.p.p)
 
 
 def reparametrize(pair: PontrjaginPair, k: int | ResidueClass) -> PontrjaginPair:
     """Change of classifying map by a unit k: (b0, b1) -> (k**3 b0, k b1)."""
     p = pair.modulus
-    if isinstance(k, ResidueClass):
-        if k.modulus != p:
-            raise ModulusMismatch(f"k mod {k.modulus} vs pair mod {p}")
-        kv = int(k)
-    else:
-        kv = k % p
+    kv = _residue(k, p)
     if math.gcd(kv, p) != 1:
         raise NotAUnit(f"{kv} is not a unit mod {p}")
-    return PontrjaginPair(pair.beta0 * pow(kv, 3, p), pair.beta1 * kv)
+    return PontrjaginPair(pair.beta0 * pow(kv, 3, p), pair.beta1 * kv, p)
 
 
 def canonical_form(pair: PontrjaginPair) -> PontrjaginPair:
@@ -154,10 +152,10 @@ def canonical_form(pair: PontrjaginPair) -> PontrjaginPair:
         raise ValueError(f"prime modulus required, got {p}")
     b0, b1 = pair.values()
     if b0 == 0:
-        return PontrjaginPair.from_ints(0, 1 if b1 else 0, p)
+        return PontrjaginPair(0, 1 if b1 else 0, p)
     if (p - 1) % 3:
         k = pow(b0, -pow(3, -1, p - 1), p)
-        return PontrjaginPair.from_ints(1, k * b1, p)
+        return PontrjaginPair(1, k * b1, p)
     cube_test = (p - 1) // 3
     target = pow(b0, cube_test, p)
     c = 1
@@ -166,7 +164,7 @@ def canonical_form(pair: PontrjaginPair) -> PontrjaginPair:
     k0 = _root_mod(c * pow(b0, -1, p) % p, p, 3)
     w = _element_of_order(p, p, 3, [3])
     x = k0 * b1 % p
-    return PontrjaginPair.from_ints(c, min(x, x * w % p, x * w * w % p), p)
+    return PontrjaginPair(c, min(x, x * w % p, x * w * w % p), p)
 
 
 def is_null_bordant(pair: PontrjaginPair) -> bool:
@@ -184,11 +182,10 @@ def _common_prime_modulus(a: PontrjaginPair, b: PontrjaginPair) -> int:
 
 
 def _slope(pair: PontrjaginPair) -> int:
-    if not pair.beta0.is_unit:
-        raise DegeneratePair(
-            f"beta0 = {int(pair.beta0)} mod {pair.modulus} is not a unit"
-        )
-    return int(pair.beta1 * mod_inverse(pair.beta0))
+    b0, b1, p = pair.beta0, pair.beta1, pair.modulus
+    if math.gcd(b0, p) != 1:
+        raise DegeneratePair(f"beta0 = {b0} mod {p} is not a unit")
+    return b1 * pow(b0, -1, p) % p
 
 
 def _dependence_free(p: int, q: int, r: int) -> tuple[bool, int]:

@@ -19,6 +19,7 @@ O(log p) modular powers per candidate rather than an O(p) table of roots.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import ModulusMismatch, NotAUnit, RangeError, ZeroInput
@@ -38,6 +39,7 @@ def is_prime(n: int) -> bool:
     survives is prime.  Otherwise, with n - 1 = d * 2**s and d odd, n passes
     base b when b**d = 1 or b**(d * 2**i) = -1 for some i < s.
     """
+    n = operator.index(n)
     if n < 2:
         return False
     if n >= _MR_BOUND:
@@ -85,16 +87,10 @@ class PrimeModulus:
     def __int__(self) -> int:
         return self.p
 
-    def __str__(self) -> str:
-        return str(self.p)
-
-    def residue(self, value: int) -> "ResidueClass":
-        return ResidueClass(value, self.p)
-
 
 @dataclass(frozen=True)
 class ResidueClass:
-    """An integer reduced into [0, modulus).
+    """An integer reduced into [0, modulus); 1.5 raises ``TypeError``.
 
     Arithmetic with another ``ResidueClass`` requires equal moduli; plain
     integers are reduced into the same modulus.
@@ -104,19 +100,14 @@ class ResidueClass:
     modulus: int
 
     def __post_init__(self) -> None:
-        if self.modulus < 1:
+        m = operator.index(self.modulus)
+        if m < 1:
             raise ValueError("modulus must be positive")
-        object.__setattr__(self, "value", self.value % self.modulus)
+        object.__setattr__(self, "value", operator.index(self.value) % m)
 
     def _coerce(self, other) -> int | None:
-        if isinstance(other, ResidueClass):
-            if other.modulus != self.modulus:
-                raise ModulusMismatch(
-                    f"mod {self.modulus} vs mod {other.modulus}"
-                )
-            return other.value
-        if isinstance(other, int):
-            return other % self.modulus
+        if isinstance(other, (int, ResidueClass)):
+            return _residue(other, self.modulus)
         return None
 
     def __add__(self, other) -> "ResidueClass":
@@ -132,12 +123,6 @@ class ResidueClass:
         if v is None:
             return NotImplemented
         return ResidueClass(self.value - v, self.modulus)
-
-    def __rsub__(self, other) -> "ResidueClass":
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return ResidueClass(v - self.value, self.modulus)
 
     def __mul__(self, other) -> "ResidueClass":
         v = self._coerce(other)
@@ -156,15 +141,21 @@ class ResidueClass:
     def __int__(self) -> int:
         return self.value
 
-    def __repr__(self) -> str:
-        return f"ResidueClass({self.value}, mod {self.modulus})"
-
     @property
     def is_unit(self) -> bool:
         return math.gcd(self.value, self.modulus) == 1
 
-    def inverse(self) -> "ResidueClass":
-        return mod_inverse(self)
+
+def _residue(value: int | ResidueClass, modulus: int) -> int:
+    """value reduced into [0, modulus), the package's one rule for accepting
+    a residue: a ``ResidueClass`` must have this modulus (``ModulusMismatch``
+    otherwise), and anything else must be an integer (``operator.index``, so
+    that 1.5 raises ``TypeError`` rather than truncating)."""
+    if isinstance(value, ResidueClass):
+        if value.modulus != modulus:
+            raise ModulusMismatch(f"residue mod {value.modulus} vs mod {modulus}")
+        return value.value
+    return operator.index(value) % modulus
 
 
 def mod_pow(base: ResidueClass, exp: int) -> ResidueClass:
@@ -190,9 +181,7 @@ def is_quadratic_residue(a: int | ResidueClass, p: PrimeModulus) -> bool:
     pp = int(p)
     if pp % 2 == 0:
         raise ValueError("odd prime modulus required")
-    if isinstance(a, ResidueClass) and a.modulus != pp:
-        raise ModulusMismatch(f"residue mod {a.modulus} tested against {pp}")
-    v = int(a) % pp
+    v = _residue(a, pp)
     if v == 0:
         raise ZeroInput("0 has no quadratic character")
     return pow(v, (pp - 1) // 2, pp) == 1
@@ -311,9 +300,7 @@ def sum_three_unit_squares(
     pp = int(p)
     if pp < 5:
         raise ValueError("p must be at least 5")
-    if isinstance(target, ResidueClass) and target.modulus != pp:
-        raise ModulusMismatch(f"target mod {target.modulus} vs p={pp}")
-    t = int(target) % pp
+    t = _residue(target, pp)
     half = (pp - 1) // 2
     for t1 in range(1, pp):
         s1 = (t - t1 * t1) % pp

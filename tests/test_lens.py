@@ -74,9 +74,11 @@ class TestLensSpace:
 
 class TestQSum:
     def test_examples(self):
-        assert int(q_sum(lens(5, 1, 1, 1))) == 3
-        assert int(q_sum(lens(5, 1, 1, 2))) == 1
-        assert int(q_sum(lens(7, 1, 2, 2))) == 2
+        assert q_sum(lens(5, 1, 1, 1)) == 3
+        assert q_sum(lens(5, 1, 1, 2)) == 1
+        assert q_sum(lens(7, 1, 2, 2)) == 2
+        q = q_sum(lens(5, 2, 2, 2))
+        assert type(q) is int and int(q) == 2
 
 
 class TestPontrjaginPair:
@@ -96,6 +98,37 @@ class TestPontrjaginPair:
     def test_modulus_mismatch(self):
         with pytest.raises(ModulusMismatch):
             PontrjaginPair(ResidueClass(1, 5), ResidueClass(1, 7))
+        with pytest.raises(ModulusMismatch):
+            PontrjaginPair(ResidueClass(1, 5), 1, 7)
+
+    def test_components_reduced_to_plain_ints(self):
+        x = pair(6, -2, 5)
+        made = [
+            x,
+            PontrjaginPair(ResidueClass(6, 5), ResidueClass(-2, 5)),
+            PontrjaginPair(ResidueClass(6, 5), 3, 5),
+            pontrjagin_pair(lens(5, 1, 1, 1)),
+            reparametrize(x, 1),
+            canonical_form(x),
+        ]
+        for y in made:
+            assert (y.beta0, y.beta1, y.modulus) == (1, 3, 5)
+            assert all(type(v) is int for v in (y.beta0, y.beta1, y.modulus))
+        assert made[1] == x
+
+    @pytest.mark.parametrize("m", [0, -5])
+    def test_non_positive_modulus_rejected(self, m):
+        with pytest.raises(ValueError):
+            pair(1, 3, m)
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "1"])
+    def test_non_integer_component_rejected(self, bad):
+        with pytest.raises(TypeError):
+            pair(bad, 3, 7)
+        with pytest.raises(TypeError):
+            pair(1, bad, 7)
+        with pytest.raises(TypeError):
+            pair(1, 3, bad)
 
 
 class TestReparametrize:

@@ -95,6 +95,13 @@ def test_is_prime_small():
     assert not is_prime(7917)
 
 
+@pytest.mark.parametrize("bad", [2.5, 7.0, "7"])
+@pytest.mark.parametrize("check", [is_prime, PrimeModulus])
+def test_non_integer_rejected_by_primality(check, bad):
+    with pytest.raises(TypeError):
+        check(bad)
+
+
 def test_prime_modulus_rejects_composites():
     PrimeModulus(5)
     with pytest.raises(ValueError):
@@ -153,6 +160,13 @@ class TestResidueClass:
             ResidueClass(1, 5) + ResidueClass(1, 7)
         with pytest.raises(ModulusMismatch):
             ResidueClass(1, 5) * ResidueClass(1, 7)
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "1"])
+    def test_non_integer_rejected(self, bad):
+        with pytest.raises(TypeError):
+            ResidueClass(bad, 7)
+        with pytest.raises(TypeError):
+            ResidueClass(1, bad)
 
     def test_is_unit(self):
         assert ResidueClass(3, 7).is_unit
@@ -224,6 +238,11 @@ class TestQuadraticResidue:
         with pytest.raises(ModulusMismatch):
             is_quadratic_residue(ResidueClass(1, 5), PrimeModulus(7))
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "2"])
+    def test_non_integer_rejected(self, bad):
+        with pytest.raises(TypeError):
+            is_quadratic_residue(bad, PrimeModulus(7))
+
     def test_matches_square_table_up_to_200(self):
         for pm in primes_in_range(3, 200):
             p = int(pm)
@@ -266,6 +285,11 @@ class TestSumThreeUnitSquares:
         with pytest.raises(ModulusMismatch):
             sum_three_unit_squares(ResidueClass(3, 7), PrimeModulus(5))
         assert sum_three_unit_squares(ResidueClass(3, 5), PrimeModulus(5)) == (1, 1, 1)
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, "1"])
+    def test_non_integer_target_rejected(self, bad):
+        with pytest.raises(TypeError):
+            sum_three_unit_squares(bad, PrimeModulus(7))
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_lex_least_against_naive_scan(self, p):
