@@ -10,12 +10,13 @@ params, entries, summary}, byte for byte as the standard ``json`` module
 writes it with an indent of 2.
 
 Exit codes: 0 success, 1 verification failure or oracle disagreement, 2
-usage or input error or running out of memory (one ``error:`` line), 130
-interrupted (no traceback).  Input errors raise before the first byte of
-the report, so stdout stays empty and an ``--out`` file is neither created
-nor truncated; the same holds for an interrupt or running out of memory
-before the first byte.  After it, they leave a truncated report on stdout
-and no ``--out`` file.
+usage or input error, running out of memory or an output that cannot be
+written (one ``error:`` line), 130 interrupted and 141 stdout closed by
+its reader (neither prints anything, not even a traceback).  Input errors
+raise before the first byte of the report, so stdout stays empty and an
+``--out`` file is neither created nor truncated; the same holds for an
+interrupt or running out of memory before the first byte.  After it, they
+leave a truncated report on stdout and no ``--out`` file.
 """
 
 from __future__ import annotations
@@ -29,14 +30,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import __version__
 from .errors import LensBordismError, SearchExhausted, Unspecified
-from .groups import (
-    _prime_powers,
-    _smallest_prime_factors,
-    d_pk3_params,
-    enumerate_periodic_odd,
-    group_order,
-    theorem1_applies,
-)
+from .groups import _presentations, d_pk3_params, group_order, theorem1_applies
 from .lens import (
     LensSpace,
     canonical_form,
@@ -60,12 +54,12 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports an interrupted command
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a write to a closed pipe
 
-# Largest accepted `lemma5 --max` and `groups --max-order`.  The sieve, the
-# smallest-prime-factor tables and the enumerated presentations grow about
-# linearly with them (reports are streamed); at these bounds a JSON run
-# peaked at 28 and 40 MB and took about 3.6 and 1.9 s on a 2-core machine
-# (Python 3.11).
+# Largest accepted `lemma5 --max` and `groups --max-order`.  The sieve and
+# the smallest-prime-factor table grow about linearly with them (reports and
+# presentations are streamed); at these bounds a JSON run peaked at 28 and
+# 21 MB and took about 3.6 and 1.9 s on a 2-core machine (Python 3.11).
 LEMMA5_MAX = 10**6
 GROUPS_MAX_ORDER = 10**5
 # Largest `--p` accepted with `independent --brute`: the oracle is O(p) time
@@ -200,8 +194,13 @@ def _write_report(report: Report, command: str, fmt: str, out) -> None:
                 write(to_text(entry) + "\n")
             for line in report.tail:
                 write(line + "\n")
-    finally:  # what was written so far, also when cut short
-        sink.flush()
+    finally:
+        # Entries cut short are closed here, so a process pool behind them
+        # shuts down in this thread: left to the garbage collector, they
+        # could be closed in the pool's own thread, which cannot join itself.
+        if hasattr(report.entries, "close"):
+            report.entries.close()
+        sink.flush()  # what was written so far, also when cut short
 
 
 def _write_file(report: Report, command: str, fmt: str, path: str) -> None:
@@ -545,36 +544,36 @@ def _groups_row(e: dict) -> list:
 def cmd_groups(ns) -> Report:
     if ns.max_order > GROUPS_MAX_ORDER:
         raise ValueError(f"--max-order must be at most {GROUPS_MAX_ORDER}, got {ns.max_order}")
-    groups = enumerate_periodic_odd(ns.max_order)
-    spf = _smallest_prime_factors(ns.max_order)
+    presentations = _presentations(ns.max_order)
 
     def entries():
-        for g in groups:
-            order = group_order(g)
+        listed = 0
+        for listed, (g, sylow) in enumerate(presentations, 1):
             yield {
                 "m": g.m,
                 "n": g.n,
                 "r": g.r,
-                "order": order,
+                "order": group_order(g),
                 # every Sylow subgroup is cyclic of the full prime-power
                 # order, as ``sylow_structure`` says
                 "sylow": [
                     {"prime": q, "order": o, "shape": "cyclic"}
-                    for q, o in _prime_powers(order, spf)
+                    for q, o in sylow
                 ],
                 "theorem1_applies": theorem1_applies(g),
             }
+        report.summary = {"groups_listed": listed, "failures": 0}
+        report.tail = [f"groups_listed={listed}"]
 
-    return Report(
+    report = Report(
         {"max_order": ns.max_order},
         entries(),
         _groups_text,
         ["order", "m", "n", "r", "sylow", "theorem1_applies"],
         to_row=_groups_row,
         head=[f"odd-order presentations with order <= {ns.max_order}"],
-        summary={"groups_listed": len(groups), "failures": 0},
-        tail=[f"groups_listed={len(groups)}"],
     )
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -673,6 +672,7 @@ def main(argv: list[str] | None = None) -> int:
             _write_file(report, ns.command, ns.format, ns.out)
         else:
             _write_report(report, ns.command, ns.format, sys.stdout)
+            sys.stdout.flush()  # so that a failed write is caught here, not at exit
     except (LensBordismError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -681,6 +681,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except KeyboardInterrupt:
         return EXIT_INTERRUPTED
+    except OSError as exc:  # an output that cannot be written
+        if not ns.out:
+            # what stdout still buffers goes to os.devnull, so the flush at
+            # exit cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):  # the reader left, as in ``| head``
+            return EXIT_BROKEN_PIPE
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     sys.stderr.write(
         "".join((line if isinstance(line, str) else _json(line)) + "\n" for line in report.stderr)
     )

@@ -20,10 +20,12 @@ order d (``_element_of_order``, from the primes of d alone).  The Chinese
 remainder theorem combines them into the r mod m.  In ascending order, the
 first r met in each cyclic subgroup <r> is kept and the generators of <r>
 (walked, like the roots, by ``_powers``) are marked, so the work is ord(r)
-once per subgroup.  The cost is output-sensitive: a smallest-prime-factor
-table of max_order + 1 entries per call, one factorisation from it for each
-of the O(max_order log max_order) pairs (m, n), and work proportional to
-the admissible r built.
+once per subgroup.  As gcd(n, m) = 1, only the m that are products of
+exact prime powers of the order m*n can list anything.  The cost is
+output-sensitive: a smallest-prime-factor table of max_order + 1 entries
+per call, one factorisation from it per odd order, one ``_admissible_r``
+per such divisor m, not per pair (m, n), and work proportional to the
+admissible r built.
 """
 
 from __future__ import annotations
@@ -69,10 +71,6 @@ class MetacyclicParams:
         ok, reason = validate_metacyclic(self.m, self.n, self.r)
         if not ok:
             raise ValueError(f"invalid presentation ({self.m}, {self.n}, {self.r}): {reason}")
-
-    @property
-    def order(self) -> int:
-        return self.m * self.n
 
 
 def group_order(params: MetacyclicParams) -> int:
@@ -184,17 +182,15 @@ def _admissible_r(m: int, n: int, spf: list[int]) -> list[int]:
     return roots
 
 
-def enumerate_periodic_odd(max_order: int) -> list[MetacyclicParams]:
-    """All odd-order presentations with m*n <= max_order, deduplicated.
+def _presentations(max_order: int):
+    """Each odd-order presentation with m*n <= max_order and the (prime,
+    order) pairs of its Sylow subgroups, sorted by (order, m, n, r).
 
-    Two triples with equal (m, n) and equal cyclic subgroup generated by r
-    are merged into the least-r representative.  That key is a conservative
-    merge, not a complete isomorphism invariant: distinct keys may in
-    principle still present isomorphic groups.  Output is sorted by
-    (order, m, n, r).
-
-    The r for each (m, n) are built, not searched for, and walked in
-    ascending order: an r is emitted unless it is marked, and then the
+    The bound is checked and the one smallest-prime-factor table built on
+    the call, before the first item.  The walk takes the odd orders
+    ascending; for each, m = 1 and then the products m > 1 of its exact
+    prime powers, ascending; and for each (m, n) the admissible r,
+    ascending.  An r is emitted unless it is marked, and then the
     generators r**a of <r>, gcd(a, ord r) = 1, are marked, so the first r
     met in each subgroup is its least (the module docstring gives the
     argument and the cost).  Every emitted triple is still checked by
@@ -203,19 +199,34 @@ def enumerate_periodic_odd(max_order: int) -> list[MetacyclicParams]:
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
     spf = _smallest_prime_factors(max_order)
-    found: list[MetacyclicParams] = []
-    for m in range(1, max_order + 1, 2):
-        for n in range(1, max_order // m + 1, 2):
-            if m == 1:
-                found.append(MetacyclicParams(1, n, 0))
-                continue
-            marked: set[int] = set()
-            for r in _admissible_r(m, n, spf):
-                if r in marked:
-                    continue
-                found.append(MetacyclicParams(m, n, r))
-                powers = _powers(r, m)
-                order = len(powers) + 1
-                marked.update(y for a, y in enumerate(powers, 1) if gcd(a, order) == 1)
-    found.sort(key=lambda g: (g.order, g.m, g.n, g.r))
-    return found
+
+    def walk():
+        for order in range(1, max_order + 1, 2):
+            sylow = _prime_powers(order, spf)
+            yield MetacyclicParams(1, order, 0), sylow
+            divisors: list[int] = []
+            for _, q in sylow:
+                divisors += [q] + [m * q for m in divisors]
+            for m in sorted(divisors):
+                n = order // m
+                marked: set[int] = set()
+                for r in _admissible_r(m, n, spf):
+                    if r not in marked:
+                        yield MetacyclicParams(m, n, r), sylow
+                        powers = _powers(r, m)
+                        order_r = len(powers) + 1
+                        marked.update(y for a, y in enumerate(powers, 1) if gcd(a, order_r) == 1)
+
+    return walk()
+
+
+def enumerate_periodic_odd(max_order: int) -> list[MetacyclicParams]:
+    """All odd-order presentations with m*n <= max_order, deduplicated.
+
+    Two triples with equal (m, n) and equal cyclic subgroup generated by r
+    are merged into the least-r representative.  That key is a conservative
+    merge, not a complete isomorphism invariant: distinct keys may in
+    principle still present isomorphic groups.  Output is sorted by
+    (order, m, n, r), as ``_presentations`` walks them.
+    """
+    return [g for g, _ in _presentations(max_order)]

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -27,12 +28,18 @@ def run(capsys, *args):
     return code, captured.out, captured.err
 
 
-def python(*args) -> subprocess.CompletedProcess:
-    """``python args`` in a fresh interpreter on this checkout's package."""
+def checkout_env() -> dict:
+    """The environment, with this checkout's package first on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def python(*args, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """``python args`` in a fresh interpreter on this checkout's package."""
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, *args], env=checkout_env(), stdout=stdout,
+        stderr=subprocess.PIPE, text=True, timeout=60,
     )
 
 
@@ -454,12 +461,12 @@ class TestGroups:
         def no_table(max_order):
             raise AssertionError("enumeration started")
 
-        monkeypatch.setattr(cli, "enumerate_periodic_odd", no_table)
+        monkeypatch.setattr(cli, "_presentations", no_table)
         over = str(cli.GROUPS_MAX_ORDER + 1)
         code, out, err = run(capsys, "groups", "--max-order", over)
         assert (code, out) == (2, "")
         assert err == f"error: --max-order must be at most {cli.GROUPS_MAX_ORDER}, got {over}\n"
-        monkeypatch.setattr(cli, "enumerate_periodic_odd", lambda max_order: [])
+        monkeypatch.setattr(cli, "_presentations", lambda max_order: [])
         assert run(capsys, "groups", "--max-order", str(cli.GROUPS_MAX_ORDER))[0] == 0
 
     def test_json_roundtrip(self, capsys):
@@ -469,13 +476,31 @@ class TestGroups:
         assert report["summary"]["failures"] == 0
 
     def test_output_matches_direct_scan(self, capsys, monkeypatch):
+        # the scan oracle's presentations, each with the Sylow pairs that
+        # ``sylow_structure`` finds by trial division, against the walk's
         args = [("groups", "--max-order", "600", "--format", fmt) for fmt in ("json", "csv", "text")]
         built = [run(capsys, *a) for a in args]
-        scanned = _scan_periodic_odd(600)
-        monkeypatch.setattr(cli, "enumerate_periodic_odd", lambda max_order: scanned)
+        scanned = [
+            (g, [(q, o) for q, o, _ in sylow_structure(g).entries])
+            for g in _scan_periodic_odd(600)
+        ]
+        monkeypatch.setattr(cli, "_presentations", lambda max_order: scanned)
         for a, b in zip(built, (run(capsys, *a) for a in args)):
             assert a[0] == b[0] == 0
             assert a[1] == b[1]
+
+    def test_report_streams(self, tmp_path):
+        # the presentations are written as the walk yields them: held as a
+        # list they trace about 2 MB at this bound, streamed about 0.6 MB
+        tracemalloc.start()
+        try:
+            argv = ["groups", "--max-order", "10000", "--format", "json"]
+            code = main([*argv, "--out", str(tmp_path / "groups.json")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 1.2e6
 
     def test_sylow_entries_match_sylow_structure(self, capsys):
         # the CLI factors each order from one smallest-prime-factor table;
@@ -648,6 +673,58 @@ def test_input_error_leaves_out_file_alone(capsys, tmp_path, args):
         assert err.startswith("error: ") and err.count("\n") == 1
     assert not fresh.exists()
     assert existing.read_text(encoding="utf-8") == "an earlier report\n"
+
+
+class TestOutputErrors:
+    """An output that cannot be written exits 2 with one ``error:`` line; a
+    stdout whose reader has gone exits 141 in silence."""
+
+    ARGV = ("-m", "lensbordism", "groups", "--max-order", "300", "--format", "json")
+
+    def assert_error_line(self, proc):
+        assert (proc.returncode, proc.stdout or "") == (2, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    def test_missing_directory(self, tmp_path):
+        path = tmp_path / "missing" / "groups.json"
+        self.assert_error_line(python(*self.ARGV, "--out", str(path)))
+        assert not path.parent.exists()
+
+    def test_out_is_a_directory(self, tmp_path):
+        self.assert_error_line(python(*self.ARGV, "--out", str(tmp_path)))
+        assert tmp_path.is_dir() and not any(tmp_path.iterdir())
+
+    # with a buffered stdout what is left in the buffer is written again at
+    # exit, so each case runs buffered and unbuffered (``-u``)
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("flags", [(), ("-u",)])
+    def test_full_device(self, flags, monkeypatch):
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        self.assert_error_line(python(*flags, *self.ARGV, "--out", "/dev/full"))
+        with open("/dev/full", "w") as full:
+            self.assert_error_line(python(*flags, *self.ARGV, stdout=full))
+
+    @pytest.mark.parametrize("flags", [(), ("-u",)])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("groups", "--max-order", "30000"),
+            # from about this --max on, unless the cut-short entries are
+            # closed, the garbage collector shuts their pool down in the
+            # pool's own thread, and that prints a RuntimeError
+            ("lemma5", "--min", "5", "--max", "300000", "--jobs", "2"),
+        ],
+    )
+    def test_closed_pipe(self, argv, flags, monkeypatch):
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        proc = subprocess.Popen(
+            [sys.executable, *flags, "-m", "lensbordism", *argv], env=checkout_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.readline()  # what ``| head -1`` reads before it exits
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 def test_interrupt_mid_report(capsys, monkeypatch, tmp_path):

@@ -43,7 +43,7 @@ def _scan_periodic_odd(max_order):
                     continue
                 seen.add(span)
                 found.append(MetacyclicParams(m, n, r))
-    found.sort(key=lambda g: (g.order, g.m, g.n, g.r))
+    found.sort(key=lambda g: (group_order(g), g.m, g.n, g.r))
     return found
 
 
@@ -67,7 +67,7 @@ def _dedup_by_span(max_order):
                 if span not in seen:
                     seen.add(span)
                     found.append(MetacyclicParams(m, n, r))
-    found.sort(key=lambda g: (g.order, g.m, g.n, g.r))
+    found.sort(key=lambda g: (group_order(g), g.m, g.n, g.r))
     return found
 
 
@@ -260,7 +260,7 @@ class TestEnumeratePeriodicOdd:
     def test_every_bound_is_a_prefix(self):
         full = _scan_periodic_odd(200)
         for bound in range(1, 201):
-            assert enumerate_periodic_odd(bound) == [g for g in full if g.order <= bound]
+            assert enumerate_periodic_odd(bound) == [g for g in full if group_order(g) <= bound]
 
 
 def test_admissible_r_is_the_crt_of_local_roots():
