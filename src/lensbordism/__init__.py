@@ -50,11 +50,8 @@ from .lens import (
 )
 from .numtheory import (
     PrimeModulus,
-    ResidueClass,
     is_prime,
     is_quadratic_residue,
-    mod_inverse,
-    mod_pow,
     primes_in_range,
     sum_three_unit_squares,
 )
@@ -80,8 +77,8 @@ __all__ = [
     "ModulusMismatch", "DegeneratePair", "SearchExhausted", "EvenModulus",
     "Unspecified", "NoSuchGroup", "EvenOrder", "NoPrimitiveCubeRoot",
     # numtheory
-    "PrimeModulus", "ResidueClass", "is_prime", "mod_pow", "mod_inverse",
-    "is_quadratic_residue", "primes_in_range", "sum_three_unit_squares",
+    "PrimeModulus", "is_prime", "is_quadratic_residue", "primes_in_range",
+    "sum_three_unit_squares",
     # lens
     "LensSpace", "PontrjaginPair", "TraceStep", "GeneratorPairResult",
     "q_sum", "pontrjagin_pair", "reparametrize", "canonical_form",

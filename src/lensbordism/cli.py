@@ -226,12 +226,6 @@ def _triple(text: str) -> tuple[int, int, int]:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _odd_prime(p: int) -> PrimeModulus:
-    if p % 2 == 0:
-        raise ValueError(f"odd prime required, got {p}")
-    return PrimeModulus(p)
-
-
 # ---------------------------------------------------------------------------
 # lemma5: per-prime generator-pair verification over a range
 
@@ -250,8 +244,8 @@ def _lemma5_worker(task: tuple[int, int]) -> dict:
         }
     entry = {
         "p": p,
-        "weights_a": list(result.first.weight_values()),
-        "weights_b": list(result.second.weight_values()),
+        "weights_a": list(result.first.weights),
+        "weights_b": list(result.second.weights),
         "Q": result.q,
         "R": result.r,
         "stage": result.stage,
@@ -372,12 +366,11 @@ def _invariants_text(e: dict) -> str:
 
 
 def cmd_invariants(ns) -> Report:
-    p = _odd_prime(ns.p)
-    lens = LensSpace(p, ns.q)
+    lens = LensSpace(ns.p, ns.q)
     pair = pontrjagin_pair(lens)
     entry = {
         "p": ns.p,
-        "weights": list(lens.weight_values()),
+        "weights": list(lens.weights),
         "Q": q_sum(lens),
         "pair": list(pair.values()),
         "canonical": list(canonical_form(pair).values()),
@@ -412,9 +405,8 @@ def _independent_text(e: dict) -> str:
 def cmd_independent(ns) -> Report:
     if ns.brute and ns.p > BRUTE_MAX_P:
         raise ValueError(f"--brute needs --p at most {BRUTE_MAX_P}, got {ns.p}")
-    p = _odd_prime(ns.p)
-    lens_a = LensSpace(p, ns.qa)
-    lens_b = LensSpace(p, ns.qb)
+    lens_a = LensSpace(ns.p, ns.qa)
+    lens_b = LensSpace(lens_a.p, ns.qb)
     pair_a = pontrjagin_pair(lens_a)
     pair_b = pontrjagin_pair(lens_b)
     verdict = independent(pair_a, pair_b)
@@ -422,8 +414,8 @@ def cmd_independent(ns) -> Report:
     agree = None if oracle is None else oracle == verdict
     entry = {
         "p": ns.p,
-        "weights_a": list(lens_a.weight_values()),
-        "weights_b": list(lens_b.weight_values()),
+        "weights_a": list(lens_a.weights),
+        "weights_b": list(lens_b.weights),
         "Q": q_sum(lens_a),
         "R": q_sum(lens_b),
         "independent": verdict,
@@ -469,7 +461,6 @@ def _orders_text(e: dict) -> str:
 
 def cmd_orders(ns) -> Report:
     p, k = ns.p, ns.k
-    _odd_prime(p)
     order = bordism_order_cyclic(p, k)
     try:
         lens_order: int | str = lens_class_order(p, k)

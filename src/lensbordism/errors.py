@@ -25,7 +25,7 @@ class RangeError(LensBordismError):
 
 
 class ModulusMismatch(LensBordismError):
-    """Arithmetic attempted between residues with different moduli."""
+    """Two invariant pairs of different moduli were compared."""
 
 
 class DegeneratePair(LensBordismError):

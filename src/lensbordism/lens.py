@@ -4,9 +4,10 @@ A lens space here is an odd prime p together with a triple of unit weights
 mod p; it stands for the quotient of the unit 5-sphere by the rotation action
 with those weights (the weights must be units for the action to be free).
 Its characteristic data is the pair (beta0, beta1) of residues mod p, with
-beta1 = (q1**2 + q2**2 + q3**2) * beta0; weights and pairs are stored as ints
-reduced mod p, checked once when built.  We normalize beta0 = 1 by fixing the
-classifying map; the residual ambiguity is the reparametrization
+beta1 = (q1**2 + q2**2 + q3**2) * beta0.  Weights, pairs and every residue
+passed in are plain ints, stored reduced mod p and checked once when built; a
+prime passed as an int is tested for primality.  We normalize beta0 = 1 by
+fixing the classifying map; the residual ambiguity is the reparametrization
 
     (beta0, beta1)  ->  (k**3 * beta0, k * beta1),   k a unit,
 
@@ -35,8 +36,8 @@ from .errors import (
 )
 from .numtheory import (
     PrimeModulus,
-    ResidueClass,
     _element_of_order,
+    _prime_modulus,
     _residue,
     _root_mod,
     is_prime,
@@ -48,15 +49,15 @@ from .numtheory import (
 class LensSpace:
     """An odd prime p and a triple of unit weights mod p.
 
-    The weights are stored reduced into [1, p), as ints.  A weight may be
-    given as any integer or as a ``ResidueClass`` mod p.
+    The weights are stored reduced into [1, p), as ints, and may be given as
+    any integers.  A p given as an int is tested for primality.
     """
 
     p: PrimeModulus
     weights: tuple[int, int, int]
 
     def __post_init__(self) -> None:
-        p = self.p if isinstance(self.p, PrimeModulus) else PrimeModulus(self.p)
+        p = _prime_modulus(self.p)
         object.__setattr__(self, "p", p)
         pp = p.p
         if pp == 2:
@@ -71,37 +72,25 @@ class LensSpace:
             ws.append(v)
         object.__setattr__(self, "weights", tuple(ws))
 
-    def weight_values(self) -> tuple[int, int, int]:
-        return self.weights
-
 
 @dataclass(frozen=True)
 class PontrjaginPair:
-    """The invariant pair (beta0, beta1), stored as ints in [0, modulus).
+    """The invariant pair (beta0, beta1) mod a positive int modulus.
 
-    A component may be any integer or a ``ResidueClass`` mod the modulus,
-    which may be left out when both components are ``ResidueClass``es."""
+    The components may be any integers and are stored reduced into
+    [0, modulus)."""
 
     beta0: int
     beta1: int
-    modulus: int | None = None
+    modulus: int
 
     def __post_init__(self) -> None:
-        m = self.modulus
-        if m is None:
-            m = self.beta0.modulus
-            if self.beta1.modulus != m:
-                raise ModulusMismatch(f"beta0 mod {m}, beta1 mod {self.beta1.modulus}")
-        m = operator.index(m)
+        m = operator.index(self.modulus)
         if m < 1:
             raise ValueError("modulus must be positive")
         object.__setattr__(self, "modulus", m)
         object.__setattr__(self, "beta0", _residue(self.beta0, m))
         object.__setattr__(self, "beta1", _residue(self.beta1, m))
-
-    @classmethod
-    def from_ints(cls, beta0: int, beta1: int, modulus: int) -> "PontrjaginPair":
-        return cls(beta0, beta1, modulus)
 
     def values(self) -> tuple[int, int]:
         return (self.beta0, self.beta1)
@@ -118,7 +107,7 @@ def pontrjagin_pair(lens: LensSpace) -> PontrjaginPair:
     return PontrjaginPair(1, q_sum(lens), lens.p.p)
 
 
-def reparametrize(pair: PontrjaginPair, k: int | ResidueClass) -> PontrjaginPair:
+def reparametrize(pair: PontrjaginPair, k: int) -> PontrjaginPair:
     """Change of classifying map by a unit k: (b0, b1) -> (k**3 b0, k b1)."""
     p = pair.modulus
     kv = _residue(k, p)
@@ -288,7 +277,7 @@ class GeneratorPairResult:
     proof_trace: tuple[TraceStep, ...] = field(repr=False)
 
 
-def find_generator_pair(p: PrimeModulus) -> GeneratorPairResult:
+def find_generator_pair(p: PrimeModulus | int) -> GeneratorPairResult:
     """Two lens spaces mod p whose invariant pairs are independent.
 
     Staged search: (i) Q=3, R=6, realized by weights (1,1,1) and (1,1,2);
@@ -302,9 +291,11 @@ def find_generator_pair(p: PrimeModulus) -> GeneratorPairResult:
     p = 5, so the sweep runs only when (2/p) = 1 and p >= 7; there Q = 0 or
     a non-residue Q wins, and counting the p - 1 points of the conic
     y**2 - x**2 = 1 shows that at least (p - (-1/p))/2 values of j in
-    [1, p-1] make 1 + j**2 a non-residue.
+    [1, p-1] make 1 + j**2 a non-residue.  A p given as an int is tested
+    for primality.
     """
-    pp = int(p)
+    p = _prime_modulus(p)
+    pp = p.p
     if pp < 5:
         raise ValueError(f"p must be at least 5, got {pp}")
     trace: list[TraceStep] = []

@@ -14,6 +14,8 @@ state: each candidate remainder is tested with Euler's criterion and, when
 it is a square, one Adleman-Manders-Miller root (``_root_mod``, also the
 package's cube roots) gives both of its roots, so a call costs a few
 O(log p) modular powers per candidate rather than an O(p) table of roots.
+Residues are plain ints; a prime modulus is a ``PrimeModulus``, and one
+given as an int is tested for primality first.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import ModulusMismatch, NotAUnit, RangeError, ZeroInput
+from .errors import RangeError, ZeroInput
 
 
 # The first thirteen primes.  Every odd composite n below _MR_BOUND fails the
@@ -88,97 +90,28 @@ class PrimeModulus:
         return self.p
 
 
-@dataclass(frozen=True)
-class ResidueClass:
-    """An integer reduced into [0, modulus); 1.5 raises ``TypeError``.
-
-    Arithmetic with another ``ResidueClass`` requires equal moduli; plain
-    integers are reduced into the same modulus.
-    """
-
-    value: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        m = operator.index(self.modulus)
-        if m < 1:
-            raise ValueError("modulus must be positive")
-        object.__setattr__(self, "value", operator.index(self.value) % m)
-
-    def _coerce(self, other) -> int | None:
-        if isinstance(other, (int, ResidueClass)):
-            return _residue(other, self.modulus)
-        return None
-
-    def __add__(self, other) -> "ResidueClass":
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return ResidueClass(self.value + v, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "ResidueClass":
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return ResidueClass(self.value - v, self.modulus)
-
-    def __mul__(self, other) -> "ResidueClass":
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return ResidueClass(self.value * v, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ResidueClass":
-        return ResidueClass(-self.value, self.modulus)
-
-    def __pow__(self, exp: int) -> "ResidueClass":
-        return mod_pow(self, exp)
-
-    def __int__(self) -> int:
-        return self.value
-
-    @property
-    def is_unit(self) -> bool:
-        return math.gcd(self.value, self.modulus) == 1
+def _prime_modulus(p: PrimeModulus | int) -> PrimeModulus:
+    """p as a checked prime: a ``PrimeModulus`` passes through, anything else
+    is built into one (``ValueError`` when it is not prime, ``TypeError``
+    when it is not an integer)."""
+    return p if isinstance(p, PrimeModulus) else PrimeModulus(p)
 
 
-def _residue(value: int | ResidueClass, modulus: int) -> int:
+def _residue(value: int, modulus: int) -> int:
     """value reduced into [0, modulus), the package's one rule for accepting
-    a residue: a ``ResidueClass`` must have this modulus (``ModulusMismatch``
-    otherwise), and anything else must be an integer (``operator.index``, so
-    that 1.5 raises ``TypeError`` rather than truncating)."""
-    if isinstance(value, ResidueClass):
-        if value.modulus != modulus:
-            raise ModulusMismatch(f"residue mod {value.modulus} vs mod {modulus}")
-        return value.value
+    a residue: it must be an integer (``operator.index``, so that 1.5 raises
+    ``TypeError`` rather than truncating)."""
     return operator.index(value) % modulus
 
 
-def mod_pow(base: ResidueClass, exp: int) -> ResidueClass:
-    """base**exp reduced mod base.modulus; exp = 0 gives 1 for every base."""
-    if exp < 0:
-        raise ValueError("exponent must be nonnegative")
-    return ResidueClass(pow(base.value, exp, base.modulus), base.modulus)
-
-
-def mod_inverse(a: ResidueClass) -> ResidueClass:
-    """The residue b with a*b = 1, if a is a unit."""
-    if math.gcd(a.value, a.modulus) != 1:
-        raise NotAUnit(f"{a.value} is not invertible mod {a.modulus}")
-    return ResidueClass(pow(a.value, -1, a.modulus), a.modulus)
-
-
-def is_quadratic_residue(a: int | ResidueClass, p: PrimeModulus) -> bool:
-    """Whether a is a nonzero square mod p.
+def is_quadratic_residue(a: int, p: PrimeModulus | int) -> bool:
+    """Whether a is a nonzero square mod the odd prime p.
 
     Decided by the power test a**((p-1)/2) == 1; zero is rejected because it
     is neither a residue nor a non-residue for the purposes of the callers.
+    A p given as an int is tested for primality.
     """
-    pp = int(p)
+    pp = _prime_modulus(p).p
     if pp % 2 == 0:
         raise ValueError("odd prime modulus required")
     v = _residue(a, pp)
@@ -276,7 +209,7 @@ def _root_mod(a: int, p: int, r: int) -> int:
 
 
 def sum_three_unit_squares(
-    target: int | ResidueClass, p: PrimeModulus
+    target: int, p: PrimeModulus | int
 ) -> tuple[int, int, int] | None:
     """Lexicographically least triple of units whose squares sum to target.
 
@@ -295,9 +228,9 @@ def sum_three_unit_squares(
     candidate with the nonzero square remainder t2**2.  So the first hit is
     the lexicographically least triple.  Each candidate costs one modular
     power and, for residues, one square root of O(log p) powers; no table
-    is built.
+    is built.  A p given as an int is tested for primality.
     """
-    pp = int(p)
+    pp = _prime_modulus(p).p
     if pp < 5:
         raise ValueError("p must be at least 5")
     t = _residue(target, pp)

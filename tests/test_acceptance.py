@@ -67,8 +67,8 @@ def _entry_reverifies(entry) -> bool:
     p = entry["p"]
     qa = sum(w * w for w in entry["weights_a"]) % p
     qb = sum(w * w for w in entry["weights_b"]) % p
-    pair_a = PontrjaginPair.from_ints(1, qa, p)
-    pair_b = PontrjaginPair.from_ints(1, qb, p)
+    pair_a = PontrjaginPair(1, qa, p)
+    pair_b = PontrjaginPair(1, qb, p)
     return independent(pair_a, pair_b)
 
 
@@ -132,8 +132,8 @@ def test_criterion_3_oracle_equivalence():
     for p in _sieve_primes(5, 31):
         for q in range(p):
             for r in range(p):
-                a = PontrjaginPair.from_ints(1, q, p)
-                b = PontrjaginPair.from_ints(1, r, p)
+                a = PontrjaginPair(1, q, p)
+                b = PontrjaginPair(1, r, p)
                 fast = independent(a, b)
                 if fast != independent_bruteforce(a, b):
                     violations.append((p, q, r, "normalized oracle"))
@@ -220,7 +220,7 @@ def test_criterion_7_canonicalization_properties():
     for p in (5, 7, 11, 13):
         for b0 in range(p):
             for b1 in range(p):
-                x = PontrjaginPair.from_ints(b0, b1, p)
+                x = PontrjaginPair(b0, b1, p)
                 canon = canonical_form(x)
                 if canonical_form(canon) != canon:
                     ok = False

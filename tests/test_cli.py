@@ -358,7 +358,7 @@ class TestOrders:
         assert "group structure: Z_5 x Z_5" in out
 
     def test_p_is_tested_for_primality_once_per_formula(self, capsys, monkeypatch):
-        from lensbordism import numtheory, orders
+        from lensbordism import numtheory
 
         calls = []
 
@@ -367,12 +367,11 @@ class TestOrders:
             return _is_prime(n)
 
         monkeypatch.setattr(numtheory, "is_prime", counting_is_prime)  # PrimeModulus
-        monkeypatch.setattr(orders, "is_prime", counting_is_prime)
         code, out, _ = run(capsys, "orders", "--p", "5", "--k", "2")
         assert code == 0 and "non-split extension: yes" in out
-        # the handler's own check, then one per formula: the bordism and lens
-        # class orders, the group structure, the extension check, non-splitness
-        assert len(calls) <= 6, calls
+        # one per formula: the bordism and lens class orders, the group
+        # structure, the extension check, non-splitness
+        assert len(calls) <= 5, calls
 
     def test_p2_is_input_error(self, capsys):
         code, _, _ = run(capsys, "orders", "--p", "2", "--k", "1")

@@ -3,20 +3,15 @@
 from bisect import bisect_left
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from lensbordism import numtheory
-from lensbordism.errors import ModulusMismatch, NotAUnit, RangeError, ZeroInput
+from lensbordism.errors import RangeError, ZeroInput
 from lensbordism.numtheory import (
     PrimeModulus,
-    ResidueClass,
     _factorize,
     _root_mod,
     is_prime,
     is_quadratic_residue,
-    mod_inverse,
-    mod_pow,
     primes_in_range,
     sum_three_unit_squares,
 )
@@ -110,6 +105,19 @@ def test_prime_modulus_rejects_composites():
         PrimeModulus(1)
 
 
+@pytest.mark.parametrize(
+    "check, a, p",
+    [
+        (sum_three_unit_squares, 2, 9),
+        (sum_three_unit_squares, 1, 15),
+        (is_quadratic_residue, 2, 15),
+    ],
+)
+def test_composite_int_modulus_rejected(check, a, p):
+    with pytest.raises(ValueError, match="is not prime"):
+        check(a, p)
+
+
 def test_sieved_primes_are_not_checked_again(monkeypatch):
     calls = []
 
@@ -139,84 +147,6 @@ def test_factorize_rebuilds_n_from_ascending_primes():
         assert product == n
 
 
-class TestResidueClass:
-    def test_reduction_and_eq(self):
-        assert ResidueClass(8, 5) == ResidueClass(3, 5)
-        assert int(ResidueClass(-1, 7)) == 6
-
-    def test_arithmetic(self):
-        a = ResidueClass(3, 7)
-        b = ResidueClass(5, 7)
-        assert int(a + b) == 1
-        assert int(a - b) == 5
-        assert int(a * b) == 1
-        assert int(-a) == 4
-        assert int(a * 10) == 2
-        assert int(10 * a) == 2
-        assert int(a**3) == 6
-
-    def test_modulus_mismatch_rejected(self):
-        with pytest.raises(ModulusMismatch):
-            ResidueClass(1, 5) + ResidueClass(1, 7)
-        with pytest.raises(ModulusMismatch):
-            ResidueClass(1, 5) * ResidueClass(1, 7)
-
-    @pytest.mark.parametrize("bad", [1.5, 2.0, "1"])
-    def test_non_integer_rejected(self, bad):
-        with pytest.raises(TypeError):
-            ResidueClass(bad, 7)
-        with pytest.raises(TypeError):
-            ResidueClass(1, bad)
-
-    def test_is_unit(self):
-        assert ResidueClass(3, 7).is_unit
-        assert not ResidueClass(0, 7).is_unit
-        assert not ResidueClass(6, 9).is_unit
-
-
-class TestModPow:
-    def test_examples(self):
-        assert mod_pow(ResidueClass(2, 7), 3) == ResidueClass(1, 7)
-        assert mod_pow(ResidueClass(3, 5), 2) == ResidueClass(4, 5)
-
-    def test_zero_exponent_is_one(self):
-        for v in range(5):
-            assert int(mod_pow(ResidueClass(v, 5), 0)) == 1
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            mod_pow(ResidueClass(2, 5), -1)
-
-    @given(st.sampled_from(SMALL_PRIMES), st.integers(1, 10**6))
-    @settings(max_examples=60)
-    def test_fermat(self, p, a):
-        if a % p == 0:
-            a += 1
-        assert int(mod_pow(ResidueClass(a, p), p - 1)) == 1
-
-
-class TestModInverse:
-    def test_examples(self):
-        assert int(mod_inverse(ResidueClass(2, 5))) == 3
-        assert int(mod_inverse(ResidueClass(1, 13))) == 1
-        assert int(mod_inverse(ResidueClass(6, 13))) == 11
-
-    def test_non_unit_rejected(self):
-        with pytest.raises(NotAUnit):
-            mod_inverse(ResidueClass(0, 5))
-        with pytest.raises(NotAUnit):
-            mod_inverse(ResidueClass(3, 9))
-
-    @given(st.sampled_from(SMALL_PRIMES), st.integers(1, 10**6))
-    @settings(max_examples=60)
-    def test_involution(self, p, a):
-        if a % p == 0:
-            a += 1
-        r = ResidueClass(a, p)
-        assert mod_inverse(mod_inverse(r)) == r
-        assert int(r * mod_inverse(r)) == 1
-
-
 class TestQuadraticResidue:
     def test_examples(self):
         assert is_quadratic_residue(3, PrimeModulus(5)) is False
@@ -233,10 +163,6 @@ class TestQuadraticResidue:
     def test_even_modulus_rejected(self):
         with pytest.raises(ValueError):
             is_quadratic_residue(1, PrimeModulus(2))
-
-    def test_modulus_mismatch(self):
-        with pytest.raises(ModulusMismatch):
-            is_quadratic_residue(ResidueClass(1, 5), PrimeModulus(7))
 
     @pytest.mark.parametrize("bad", [2.5, 2.0, "2"])
     def test_non_integer_rejected(self, bad):
@@ -280,11 +206,6 @@ class TestSumThreeUnitSquares:
     def test_small_p_rejected(self):
         with pytest.raises(ValueError):
             sum_three_unit_squares(1, PrimeModulus(3))
-
-    def test_target_of_another_modulus_rejected(self):
-        with pytest.raises(ModulusMismatch):
-            sum_three_unit_squares(ResidueClass(3, 7), PrimeModulus(5))
-        assert sum_three_unit_squares(ResidueClass(3, 5), PrimeModulus(5)) == (1, 1, 1)
 
     @pytest.mark.parametrize("bad", [1.5, 1.0, "1"])
     def test_non_integer_target_rejected(self, bad):
