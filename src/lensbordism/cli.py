@@ -460,7 +460,8 @@ def _orders_text(e: dict) -> str:
 
 
 def cmd_orders(ns) -> Report:
-    p, k = ns.p, ns.k
+    # tested for primality here once; the formulas take a PrimeModulus as it is
+    p, k = PrimeModulus(ns.p), ns.k
     order = bordism_order_cyclic(p, k)
     try:
         lens_order: int | str = lens_class_order(p, k)
@@ -478,7 +479,7 @@ def cmd_orders(ns) -> Report:
     elif k >= 2:
         extension = non_split = "unspecified"
     entry = {
-        "p": p,
+        "p": ns.p,
         "k": k,
         "bordism_order": order,
         "lens_class_order": lens_order,
@@ -486,7 +487,7 @@ def cmd_orders(ns) -> Report:
         "extension_order_check": extension,
         "non_splitness": non_split,
     }
-    return Report({"p": p, "k": k}, [entry], _orders_text, list(entry))
+    return Report({"p": ns.p, "k": k}, [entry], _orders_text, list(entry))
 
 
 def _orders_d3_text(e: dict) -> str:
@@ -500,8 +501,9 @@ def _orders_d3_text(e: dict) -> str:
 def cmd_orders_d3(ns) -> Report:
     # the order 9 * p**k is checked against its bound before d_pk3_params
     # works mod p**k, which would take minutes at a k far beyond the bound
-    order = bordism_order_metacyclic_d3(ns.p, ns.k)
-    params = d_pk3_params(ns.p, ns.k)
+    p = PrimeModulus(ns.p)
+    order = bordism_order_metacyclic_d3(p, ns.k)
+    params = d_pk3_params(p, ns.k)
     entry = {
         "p": ns.p,
         "k": ns.k,

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import EvenOrder, NoPrimitiveCubeRoot
-from .numtheory import _element_of_order, _factorize, is_prime
+from .numtheory import _element_of_order, _factorize, _prime_modulus
 
 
 def validate_metacyclic(m: int, n: int, r: int) -> tuple[bool, str | None]:
@@ -117,9 +117,9 @@ def sylow_structure(params: MetacyclicParams) -> SylowDescriptor:
 def d_pk3_params(p: int, k: int) -> MetacyclicParams:
     """The presentation (p**k, 3, r) with r the least nontrivial cube root
     of 1 mod p**k: the lesser of h and h**2 for one h of exact order 3 mod
-    p**k (``_element_of_order``); exists exactly when p = 1 mod 3."""
-    if p < 5 or not is_prime(p):
-        raise ValueError(f"prime >= 5 required, got {p}")
+    p**k (``_element_of_order``); exists exactly when p = 1 mod 3, for a
+    prime p >= 5 (``_prime_modulus``)."""
+    p = _prime_modulus(p, 5)
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     if p % 3 != 1:

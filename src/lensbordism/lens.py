@@ -5,9 +5,10 @@ mod p; it stands for the quotient of the unit 5-sphere by the rotation action
 with those weights (the weights must be units for the action to be free).
 Its characteristic data is the pair (beta0, beta1) of residues mod p, with
 beta1 = (q1**2 + q2**2 + q3**2) * beta0.  Weights, pairs and every residue
-passed in are plain ints, stored reduced mod p and checked once when built; a
-prime passed as an int is tested for primality.  We normalize beta0 = 1 by
-fixing the classifying map; the residual ambiguity is the reparametrization
+passed in are plain ints, stored reduced mod p and checked once when built;
+p is held as a ``PrimeModulus``, an int tested for primality once.  We
+normalize beta0 = 1 by fixing the classifying map; the residual ambiguity is
+the reparametrization
 
     (beta0, beta1)  ->  (k**3 * beta0, k * beta1),   k a unit,
 
@@ -40,7 +41,6 @@ from .numtheory import (
     _prime_modulus,
     _residue,
     _root_mod,
-    is_prime,
     sum_three_unit_squares,
 )
 
@@ -50,25 +50,22 @@ class LensSpace:
     """An odd prime p and a triple of unit weights mod p.
 
     The weights are stored reduced into [1, p), as ints, and may be given as
-    any integers.  A p given as an int is tested for primality.
+    any integers.  p is stored as a ``PrimeModulus`` (``_prime_modulus``).
     """
 
     p: PrimeModulus
     weights: tuple[int, int, int]
 
     def __post_init__(self) -> None:
-        p = _prime_modulus(self.p)
+        p = _prime_modulus(self.p, 3)
         object.__setattr__(self, "p", p)
-        pp = p.p
-        if pp == 2:
-            raise ValueError(f"odd prime >= 3 required, got {pp}")
         if len(self.weights) != 3:
             raise ValueError("exactly three weights required")
         ws = []
         for w in self.weights:
-            v = _residue(w, pp)
+            v = _residue(w, p)
             if not v:
-                raise NotAUnit(f"weight 0 is 0 mod {pp}; the action would not be free")
+                raise NotAUnit(f"weight 0 is 0 mod {p}; the action would not be free")
             ws.append(v)
         object.__setattr__(self, "weights", tuple(ws))
 
@@ -78,14 +75,17 @@ class PontrjaginPair:
     """The invariant pair (beta0, beta1) mod a positive int modulus.
 
     The components may be any integers and are stored reduced into
-    [0, modulus)."""
+    [0, modulus), as ints; a ``PrimeModulus`` modulus is kept as it is, so
+    it is not tested again, and any other is stored as an int."""
 
     beta0: int
     beta1: int
     modulus: int
 
     def __post_init__(self) -> None:
-        m = operator.index(self.modulus)
+        m = self.modulus
+        if not isinstance(m, PrimeModulus):
+            m = operator.index(m)
         if m < 1:
             raise ValueError("modulus must be positive")
         object.__setattr__(self, "modulus", m)
@@ -99,12 +99,12 @@ class PontrjaginPair:
 def q_sum(lens: LensSpace) -> int:
     """Sum of the squared weights mod p, as an int: the slope beta1/beta0."""
     w1, w2, w3 = lens.weights
-    return (w1 * w1 + w2 * w2 + w3 * w3) % lens.p.p
+    return (w1 * w1 + w2 * w2 + w3 * w3) % lens.p
 
 
 def pontrjagin_pair(lens: LensSpace) -> PontrjaginPair:
     """The invariant pair of a lens space, classifying map fixed so beta0 = 1."""
-    return PontrjaginPair(1, q_sum(lens), lens.p.p)
+    return PontrjaginPair(1, q_sum(lens), lens.p)
 
 
 def reparametrize(pair: PontrjaginPair, k: int) -> PontrjaginPair:
@@ -121,7 +121,7 @@ def canonical_form(pair: PontrjaginPair) -> PontrjaginPair:
 
     Idempotent, and constant on orbits; (0, 0) is a fixed point of every
     reparametrization and is returned unchanged.  The modulus must be prime
-    (``ValueError`` otherwise).
+    (``_prime_modulus``).
 
     Computed in closed form rather than by trying every unit k.  With
     b0 = 0 the orbit is (0, k * b1), least at (0, 1) unless b1 = 0.  Else
@@ -136,9 +136,7 @@ def canonical_form(pair: PontrjaginPair) -> PontrjaginPair:
     three cosets of equal size), one cube root and one search for w, O(log p)
     multiplications each rather than the O(p) of a scan over k.
     """
-    p = pair.modulus
-    if not is_prime(p):
-        raise ValueError(f"prime modulus required, got {p}")
+    p = _prime_modulus(pair.modulus)
     b0, b1 = pair.values()
     if b0 == 0:
         return PontrjaginPair(0, 1 if b1 else 0, p)
@@ -161,13 +159,10 @@ def is_null_bordant(pair: PontrjaginPair) -> bool:
     return pair.values() == (0, 0)
 
 
-def _common_prime_modulus(a: PontrjaginPair, b: PontrjaginPair) -> int:
+def _common_prime_modulus(a: PontrjaginPair, b: PontrjaginPair) -> PrimeModulus:
     if a.modulus != b.modulus:
         raise ModulusMismatch(f"pair mod {a.modulus} vs pair mod {b.modulus}")
-    p = a.modulus
-    if p < 5 or not is_prime(p):
-        raise ValueError(f"prime modulus >= 5 required, got {p}")
-    return p
+    return _prime_modulus(a.modulus, 5)
 
 
 def _slope(pair: PontrjaginPair) -> int:
@@ -277,7 +272,7 @@ class GeneratorPairResult:
     proof_trace: tuple[TraceStep, ...] = field(repr=False)
 
 
-def find_generator_pair(p: PrimeModulus | int) -> GeneratorPairResult:
+def find_generator_pair(p: int) -> GeneratorPairResult:
     """Two lens spaces mod p whose invariant pairs are independent.
 
     Staged search: (i) Q=3, R=6, realized by weights (1,1,1) and (1,1,2);
@@ -291,22 +286,19 @@ def find_generator_pair(p: PrimeModulus | int) -> GeneratorPairResult:
     p = 5, so the sweep runs only when (2/p) = 1 and p >= 7; there Q = 0 or
     a non-residue Q wins, and counting the p - 1 points of the conic
     y**2 - x**2 = 1 shows that at least (p - (-1/p))/2 values of j in
-    [1, p-1] make 1 + j**2 a non-residue.  A p given as an int is tested
-    for primality.
+    [1, p-1] make 1 + j**2 a non-residue.  p must be a prime >= 5
+    (``_prime_modulus``).
     """
-    p = _prime_modulus(p)
-    pp = p.p
-    if pp < 5:
-        raise ValueError(f"p must be at least 5, got {pp}")
+    p = _prime_modulus(p, 5)
     trace: list[TraceStep] = []
 
     def attempt(stage: str, qv: int, rv: int) -> GeneratorPairResult | None:
-        ok, tested = _dependence_free(pp, qv, rv)
+        ok, tested = _dependence_free(p, qv, rv)
         if not ok:
             trace.append(TraceStep(stage, qv, rv, tested, False))
             return None
-        wa = sum_three_unit_squares(qv % pp, p)
-        wb = sum_three_unit_squares(rv % pp, p)
+        wa = sum_three_unit_squares(qv % p, p)
+        wb = sum_three_unit_squares(rv % p, p)
         if wa is None or wb is None:
             trace.append(TraceStep(stage, qv, rv, tested, True, realized=False))
             return None
@@ -328,10 +320,10 @@ def find_generator_pair(p: PrimeModulus | int) -> GeneratorPairResult:
     result = attempt("ii", 3, 2)
     if result is not None:
         return result
-    inv2 = (pp + 1) // 2
-    for j in range(1, pp):
-        qv = (inv2 + inv2 + j * j) % pp
+    inv2 = (p + 1) // 2
+    for j in range(1, p):
+        qv = (inv2 + inv2 + j * j) % p
         result = attempt("iv" if qv == 0 else "iii", qv, 2)
         if result is not None:
             return result
-    raise SearchExhausted(pp, trace)
+    raise SearchExhausted(p, trace)

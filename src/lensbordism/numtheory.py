@@ -14,15 +14,14 @@ state: each candidate remainder is tested with Euler's criterion and, when
 it is a square, one Adleman-Manders-Miller root (``_root_mod``, also the
 package's cube roots) gives both of its roots, so a call costs a few
 O(log p) modular powers per candidate rather than an O(p) table of roots.
-Residues are plain ints; a prime modulus is a ``PrimeModulus``, and one
-given as an int is tested for primality first.
+Residues and primes are ints: a prime is tested once, by the one rule
+``_prime_modulus``, and then passed on as a ``PrimeModulus``, an int.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 from .errors import RangeError, ZeroInput
 
@@ -68,33 +67,45 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeModulus:
-    """A prime modulus, verified at construction."""
+class PrimeModulus(int):
+    """A prime, as an int tested for primality once, when it is built.
 
-    p: int
+    ``PrimeModulus(9)`` raises ``ValueError`` ("9 is not prime"), and ``7.0``
+    or ``"7"`` raise ``TypeError``.  The functions that take a prime take a
+    ``PrimeModulus`` as it is and test any other int (``_prime_modulus``),
+    so a prime checked once is not tested again.  Arithmetic on one gives
+    plain ints."""
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+    __slots__ = ()
+
+    def __new__(cls, p: int) -> "PrimeModulus":
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        return int.__new__(cls, p)
+
+    def __reduce__(self):
+        # unpickled through __new__, so p is tested again; at protocols 0
+        # and 1 the default would rebuild the int without calling it
+        return (PrimeModulus, (int(self),))
 
     @classmethod
     def _trusted(cls, p: int) -> "PrimeModulus":
         """A modulus for a p already known to be prime, such as a sieved
         one; skips the primality test that construction runs."""
-        modulus = object.__new__(cls)
-        object.__setattr__(modulus, "p", p)
-        return modulus
-
-    def __int__(self) -> int:
-        return self.p
+        return int.__new__(cls, p)
 
 
-def _prime_modulus(p: PrimeModulus | int) -> PrimeModulus:
-    """p as a checked prime: a ``PrimeModulus`` passes through, anything else
-    is built into one (``ValueError`` when it is not prime, ``TypeError``
-    when it is not an integer)."""
-    return p if isinstance(p, PrimeModulus) else PrimeModulus(p)
+def _prime_modulus(p: int, least: int = 2) -> PrimeModulus:
+    """p as a prime of at least ``least``, the package's one rule for a
+    prime argument: a ``PrimeModulus`` passes untested, anything else is
+    tested (``TypeError`` when it is not an integer, ``ValueError`` "N is
+    not prime"), and then a p below ``least`` raises ``ValueError`` "p must
+    be at least L, got N"."""
+    if not isinstance(p, PrimeModulus):
+        p = PrimeModulus(p)
+    if p < least:
+        raise ValueError(f"p must be at least {least}, got {p}")
+    return p
 
 
 def _residue(value: int, modulus: int) -> int:
@@ -104,20 +115,18 @@ def _residue(value: int, modulus: int) -> int:
     return operator.index(value) % modulus
 
 
-def is_quadratic_residue(a: int, p: PrimeModulus | int) -> bool:
-    """Whether a is a nonzero square mod the odd prime p.
+def is_quadratic_residue(a: int, p: int) -> bool:
+    """Whether a is a nonzero square mod the prime p >= 3.
 
     Decided by the power test a**((p-1)/2) == 1; zero is rejected because it
     is neither a residue nor a non-residue for the purposes of the callers.
-    A p given as an int is tested for primality.
+    p must be a prime (``_prime_modulus``).
     """
-    pp = _prime_modulus(p).p
-    if pp % 2 == 0:
-        raise ValueError("odd prime modulus required")
-    v = _residue(a, pp)
+    p = _prime_modulus(p, 3)
+    v = _residue(a, p)
     if v == 0:
         raise ZeroInput("0 has no quadratic character")
-    return pow(v, (pp - 1) // 2, pp) == 1
+    return pow(v, (p - 1) // 2, p) == 1
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -209,7 +218,7 @@ def _root_mod(a: int, p: int, r: int) -> int:
 
 
 def sum_three_unit_squares(
-    target: int, p: PrimeModulus | int
+    target: int, p: int
 ) -> tuple[int, int, int] | None:
     """Lexicographically least triple of units whose squares sum to target.
 
@@ -228,19 +237,17 @@ def sum_three_unit_squares(
     candidate with the nonzero square remainder t2**2.  So the first hit is
     the lexicographically least triple.  Each candidate costs one modular
     power and, for residues, one square root of O(log p) powers; no table
-    is built.  A p given as an int is tested for primality.
+    is built.  p must be a prime >= 5 (``_prime_modulus``).
     """
-    pp = _prime_modulus(p).p
-    if pp < 5:
-        raise ValueError("p must be at least 5")
-    t = _residue(target, pp)
-    half = (pp - 1) // 2
-    for t1 in range(1, pp):
-        s1 = (t - t1 * t1) % pp
-        for t2 in range(t1, pp):
-            s = (s1 - t2 * t2) % pp
-            if s == 0 or pow(s, half, pp) != 1:
+    p = _prime_modulus(p, 5)
+    t = _residue(target, p)
+    half = (p - 1) // 2
+    for t1 in range(1, p):
+        s1 = (t - t1 * t1) % p
+        for t2 in range(t1, p):
+            s = (s1 - t2 * t2) % p
+            if s == 0 or pow(s, half, p) != 1:
                 continue
-            r = _root_mod(s, pp, 2)
-            return (t1, t2, min(r, pp - r))
+            r = _root_mod(s, p, 2)
+            return (t1, t2, min(r, p - r))
     return None

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import EvenModulus, NoSuchGroup, Unspecified
-from .numtheory import PrimeModulus, _factorize
+from .numtheory import _factorize, _prime_modulus
 
 _MAX_INT = 2**63 - 1
 
@@ -135,12 +135,9 @@ def _checked_power(base: int, exponent: int, factor: int = 1) -> int:
 
 
 def _check(p: int, k: int, min_p: int = 3, min_k: int = 1) -> None:
-    """Reject a p that is not an odd prime >= min_p, or a k below min_k."""
-    PrimeModulus(p)  # ValueError: "{p} is not prime"
-    if p == 2:
-        raise ValueError(f"odd prime required, got {p}")
-    if p < min_p:
-        raise ValueError(f"p >= {min_p} required, got {p}")
+    """Reject a p that is not a prime >= min_p (``_prime_modulus``), or a k
+    below min_k."""
+    _prime_modulus(p, min_p)
     if k < min_k:
         raise ValueError(f"k must be at least {min_k}, got {k}")
 

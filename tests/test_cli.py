@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from lensbordism import __version__, cli
 from lensbordism.cli import Report, _json, _lemma5_workers, _write_report, main
 from lensbordism.groups import MetacyclicParams, sylow_structure
+from lensbordism.numtheory import PrimeModulus
 from test_groups import _scan_periodic_odd
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -357,25 +358,16 @@ class TestOrders:
         assert code == 0
         assert "group structure: Z_5 x Z_5" in out
 
-    def test_p_is_tested_for_primality_once_per_formula(self, capsys, monkeypatch):
-        from lensbordism import numtheory
-
-        calls = []
-
-        def counting_is_prime(n, _is_prime=numtheory.is_prime):
-            calls.append(n)
-            return _is_prime(n)
-
-        monkeypatch.setattr(numtheory, "is_prime", counting_is_prime)  # PrimeModulus
+    def test_p_is_tested_for_primality_once_per_formula(self, capsys, is_prime_calls):
         code, out, _ = run(capsys, "orders", "--p", "5", "--k", "2")
         assert code == 0 and "non-split extension: yes" in out
-        # one per formula: the bordism and lens class orders, the group
-        # structure, the extension check, non-splitness
-        assert len(calls) <= 5, calls
+        # once for all five formulas, which take the checked prime as it is
+        assert is_prime_calls == [5]
 
     def test_p2_is_input_error(self, capsys):
-        code, _, _ = run(capsys, "orders", "--p", "2", "--k", "1")
-        assert code == 2
+        assert run(capsys, "orders", "--p", "2", "--k", "1") == (
+            2, "", "error: p must be at least 3, got 2\n"
+        )
 
     def test_k_zero_is_input_error(self, capsys):
         assert run(capsys, "orders", "--p", "5", "--k", "0") == (
@@ -397,6 +389,65 @@ class TestOrders:
         assert time.perf_counter() - start < 5
         assert (code, out) == (2, "")
         assert err == f"error: {power} exceeds the supported 2**63 - 1 bound\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("orders-d3", "--p", "1000000000039"),
+        ("invariants", "--p", "100003", "--q", "1,2,3"),
+        ("independent", "--p", "100003", "--qa", "1,1,1", "--qb", "1,1,2", "--brute"),
+    ],
+)
+def test_p_is_tested_for_primality_once_per_query(capsys, is_prime_calls, args):
+    code, _, _ = run(capsys, *args)
+    assert code == 0
+    assert is_prime_calls == [int(args[2])]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("lemma5", "--min", "5", "--max", "40"),
+        ("invariants", "--p", "13", "--q", "2,3,4"),
+        ("independent", "--p", "7", "--qa", "1,1,1", "--qb", "1,2,2", "--brute"),
+        ("orders", "--p", "5", "--k", "2"),
+        ("orders", "--p", "3", "--k", "1"),
+        ("orders-d3", "--p", "7"),
+    ],
+)
+def test_reports_hold_plain_ints(args):
+    """No ``PrimeModulus`` reaches a report, whatever the handler computed
+    with: its values are plain ints, as ``_json`` writes them fastest."""
+    ns = cli.build_parser().parse_args(args)
+    report = getattr(cli, "cmd_" + ns.command.replace("-", "_"))(ns)
+    entries = list(report.entries)
+    assert entries
+
+    def prime_moduli(value):
+        if isinstance(value, dict):
+            value = list(value.values())
+        if isinstance(value, list):
+            return [x for v in value for x in prime_moduli(v)]
+        return [value] if isinstance(value, PrimeModulus) else []
+
+    assert prime_moduli([report.params, entries, report.summary]) == []
+
+
+def test_lemma5_sends_plain_int_primes_to_its_workers(capsys, monkeypatch):
+    """A ``PrimeModulus`` is tested again when it is unpickled, so the primes
+    that cross the process pool are plain ints."""
+    sent = []
+    real = cli._lemma5_results
+
+    def recording(primes, brute_below, jobs):
+        sent.extend(primes)
+        return real(primes, brute_below, jobs)
+
+    monkeypatch.setattr(cli, "_lemma5_results", recording)
+    assert run(capsys, "lemma5", "--min", "5", "--max", "40")[0] == 0
+    assert sent == [5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    assert all(type(p) is int for p in sent)
 
 
 class TestOrdersD3:
@@ -618,6 +669,7 @@ JSON_VALUES = st.recursive(
 @example({})
 @example([])
 @example({"a": [], "b": {}, "c": [[], {}], "\u00e9\u4e2d": -(2**70)})
+@example({"p": PrimeModulus(7)})  # written as {"p": 7}
 def test_json_writer_matches_json_dumps(value):
     assert _json(value) == json.dumps(value, indent=2)
 

@@ -89,16 +89,19 @@ class TestPontrjaginPair:
             assert len(values) == 1
 
     def test_components_reduced_to_plain_ints(self):
+        # the modulus keeps its type: an int stays an int, and a prime that
+        # was checked stays a PrimeModulus, so it is not tested again
         x = pair(6, -2, 5)
         made = [
-            x,
-            pontrjagin_pair(lens(5, 1, 1, 1)),
-            reparametrize(x, 1),
-            canonical_form(x),
+            (x, int),
+            (pontrjagin_pair(lens(5, 1, 1, 1)), PrimeModulus),
+            (reparametrize(x, 1), int),
+            (canonical_form(x), PrimeModulus),
         ]
-        for y in made:
+        for y, modulus_type in made:
             assert (y.beta0, y.beta1, y.modulus) == (1, 3, 5)
-            assert all(type(v) is int for v in (y.beta0, y.beta1, y.modulus))
+            assert (type(y.beta0), type(y.beta1)) == (int, int)
+            assert type(y.modulus) is modulus_type
 
     @pytest.mark.parametrize("m", [0, -5])
     def test_non_positive_modulus_rejected(self, m):

@@ -1,5 +1,6 @@
 """Tests for the modular arithmetic layer."""
 
+import pickle
 from bisect import bisect_left
 
 import pytest
@@ -105,6 +106,22 @@ def test_prime_modulus_rejects_composites():
         PrimeModulus(1)
 
 
+def test_prime_modulus_is_an_int():
+    p = PrimeModulus(7)
+    assert p == 7 and isinstance(p, int) and hash(p) == hash(7)
+    assert (repr(p), str(p), f"{p}") == ("7", "7", "7")
+    assert type(p + 1) is int and type(p**2) is int and type(3 % p) is int
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_unpickling_a_prime_modulus_tests_it_again(protocol):
+    p = pickle.loads(pickle.dumps(PrimeModulus(7), protocol))
+    assert type(p) is PrimeModulus and p == 7
+    data = pickle.dumps(PrimeModulus._trusted(9), protocol)
+    with pytest.raises(ValueError, match="^9 is not prime$"):
+        pickle.loads(data)
+
+
 @pytest.mark.parametrize(
     "check, a, p",
     [
@@ -118,21 +135,15 @@ def test_composite_int_modulus_rejected(check, a, p):
         check(a, p)
 
 
-def test_sieved_primes_are_not_checked_again(monkeypatch):
-    calls = []
-
-    def counting_is_prime(n):
-        calls.append(n)
-        return is_prime(n)
-
-    monkeypatch.setattr(numtheory, "is_prime", counting_is_prime)
+def test_sieved_primes_are_not_checked_again(is_prime_calls):
     primes = primes_in_range(5, 10_000)
-    assert calls == []
+    assert type(PrimeModulus._trusted(9)) is PrimeModulus
+    assert is_prime_calls == []
     assert len(primes) == 1227
     assert primes[:2] == [PrimeModulus(5), PrimeModulus(7)]
     with pytest.raises(ValueError):
         PrimeModulus(9)  # the public constructor still checks
-    assert calls == [5, 7, 9]
+    assert is_prime_calls == [5, 7, 9]
 
 
 def test_factorize_rebuilds_n_from_ascending_primes():
