@@ -12,11 +12,9 @@ __version__ = "0.1.0"
 
 from .errors import (
     DegeneratePair,
-    EvenModulus,
     EvenOrder,
     LensBordismError,
     ModulusMismatch,
-    NoPrimitiveCubeRoot,
     NoSuchGroup,
     NotAUnit,
     RangeError,
@@ -74,8 +72,8 @@ __all__ = [
     "__version__",
     # errors
     "LensBordismError", "NotAUnit", "ZeroInput", "RangeError",
-    "ModulusMismatch", "DegeneratePair", "SearchExhausted", "EvenModulus",
-    "Unspecified", "NoSuchGroup", "EvenOrder", "NoPrimitiveCubeRoot",
+    "ModulusMismatch", "DegeneratePair", "SearchExhausted", "Unspecified",
+    "NoSuchGroup", "EvenOrder",
     # numtheory
     "PrimeModulus", "is_prime", "is_quadratic_residue", "primes_in_range",
     "sum_three_unit_squares",

@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import __version__
 from .errors import LensBordismError, SearchExhausted, Unspecified
-from .groups import _presentations, d_pk3_params, group_order, theorem1_applies
+from .groups import _d_pk3, _presentations, _theorem1_order
 from .lens import (
     LensSpace,
     canonical_form,
@@ -58,8 +58,9 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a write to a closed 
 
 # Largest accepted `lemma5 --max` and `groups --max-order`.  The sieve and
 # the smallest-prime-factor table grow about linearly with them (reports and
-# presentations are streamed); at these bounds a JSON run peaked at 28 and
-# 21 MB and took about 3.6 and 1.9 s on a 2-core machine (Python 3.11).
+# presentations are streamed); at these bounds a JSON run peaked at 22.6 and
+# 20.2 MB and took 5.2-8.4 and 3.5-7.1 s on a shared 2-core machine (6 and 8
+# runs, Python 3.11).
 LEMMA5_MAX = 10**6
 GROUPS_MAX_ORDER = 10**5
 # Largest `--p` accepted with `independent --brute`: the oracle is O(p) time
@@ -499,18 +500,18 @@ def _orders_d3_text(e: dict) -> str:
 
 
 def cmd_orders_d3(ns) -> Report:
-    # the order 9 * p**k is checked against its bound before d_pk3_params
-    # works mod p**k, which would take minutes at a k far beyond the bound
+    # the family's rule and the bound on 9 * p**k are decided once, here,
+    # before ``_d_pk3`` works mod p**k (minutes at a k far beyond the bound)
     p = PrimeModulus(ns.p)
     order = bordism_order_metacyclic_d3(p, ns.k)
-    params = d_pk3_params(p, ns.k)
+    m, n, r = _d_pk3(p, ns.k)
     entry = {
         "p": ns.p,
         "k": ns.k,
-        "m": params.m,
-        "n": params.n,
-        "r": params.r,
-        "group_order": group_order(params),
+        "m": m,
+        "n": n,
+        "r": r,
+        "group_order": m * n,
         "bordism_order": order,
         "cyclic": True,
     }
@@ -541,19 +542,19 @@ def cmd_groups(ns) -> Report:
 
     def entries():
         listed = 0
-        for listed, (g, sylow) in enumerate(presentations, 1):
+        for listed, (m, n, r, sylow) in enumerate(presentations, 1):
             yield {
-                "m": g.m,
-                "n": g.n,
-                "r": g.r,
-                "order": group_order(g),
+                "m": m,
+                "n": n,
+                "r": r,
+                "order": m * n,
                 # every Sylow subgroup is cyclic of the full prime-power
                 # order, as ``sylow_structure`` says
                 "sylow": [
                     {"prime": q, "order": o, "shape": "cyclic"}
                     for q, o in sylow
                 ],
-                "theorem1_applies": theorem1_applies(g),
+                "theorem1_applies": _theorem1_order(m * n),
             }
         report.summary = {"groups_listed": listed, "failures": 0}
         report.tail = [f"groups_listed={listed}"]

@@ -47,10 +47,6 @@ class SearchExhausted(LensBordismError):
         self.trace = tuple(trace)
 
 
-class EvenModulus(LensBordismError):
-    """An even modulus where the collapsed-page formulas require odd order."""
-
-
 class Unspecified(LensBordismError):
     """The requested value is not pinned down by the encoded theory.
 
@@ -66,7 +62,3 @@ class NoSuchGroup(LensBordismError):
 
 class EvenOrder(LensBordismError):
     """A group of even order where only the odd-order theory is encoded."""
-
-
-class NoPrimitiveCubeRoot(LensBordismError):
-    """No nontrivial cube root of unity exists for the given modulus."""

@@ -5,36 +5,45 @@ x**m = y**n = 1, y x y**-1 = x**r, subject to gcd((r-1)*n, m) = 1 and
 r**n = 1 mod m.  The order is m*n; m = 1 gives the cyclic groups (stored
 with r = 0, since every congruence mod 1 holds vacuously).  This module
 validates triples, computes Sylow shapes (all cyclic in odd order), builds
-the n = 3 primitive-cube-root family, and enumerates all presentations up
-to a given order.
+the n = 3 primitive-cube-root family, and enumerates the presentations up
+to a given order, one per isomorphism class.
 
 The enumeration builds the admissible r instead of scanning every r < m.
 For odd m = prod p**e the condition forces gcd(n, m) = 1 and r != 1 mod
 each p.  The units mod p**e form a cyclic group of order p**(e-1) (p-1),
 so the r with r**n = 1 mod p**e are its unique subgroup of order
-d = gcd(n, p-1).  That subgroup has order prime to p, so reduction mod p
-is injective on it and 1 is its only element = 1 mod p: the local
-solutions are exactly its d - 1 nontrivial elements, and there are none
-for any n once some d is 1.  They are the powers of one element of exact
-order d (``_element_of_order``, from the primes of d alone).  The Chinese
-remainder theorem combines them into the r mod m.  In ascending order, the
-first r met in each cyclic subgroup <r> is kept and the generators of <r>
-(walked, like the roots, by ``_powers``) are marked, so the work is ord(r)
-once per subgroup.  As gcd(n, m) = 1, only the m that are products of
-exact prime powers of the order m*n can list anything.  The cost is
-output-sensitive: a smallest-prime-factor table of max_order + 1 entries
-per call, one factorisation from it per odd order, one ``_admissible_r``
-per such divisor m, not per pair (m, n), and work proportional to the
-admissible r built.
+d = gcd(n, p-1).  That subgroup has order prime to p, so 1 is its only
+element = 1 mod p: the local solutions are its d - 1 nontrivial elements,
+the powers of one element of exact order d (``_element_of_order``), and
+there are none once some d is 1.  The Chinese remainder theorem combines
+them into the r mod m.  In ascending order, the first r met in each cyclic
+subgroup <r> is kept and the generators of <r> are marked, so the work is
+ord(r) once per subgroup.  Only the m that are products of exact prime
+powers of the order m*n can list anything.  The cost: a smallest-prime-
+factor table of max_order + 1 entries per call, one factorisation from it
+per odd order and one per ``_element_of_order`` call, and work
+proportional to the admissible r built.  The walk yields plain ints, valid
+by construction; ``enumerate_periodic_odd``, the public edge, checks each
+as a ``MetacyclicParams``, and the tests check the walk against a scan.
+
+One presentation per isomorphism class: for m > 1, [y, x] = x**(r-1)
+generates <x> and G/<x> is cyclic, so the commutator subgroup G' is <x>
+and m = |G'| and n = |G|/m are invariants.  An isomorphism onto (m, n, r')
+maps <x> onto <x'>, a normal Hall subgroup, so by Schur-Zassenhaus the
+image of <y> is conjugate to <y'>; after an inner automorphism it sends x
+to x'**s and y to y'**u, u a unit mod n.  Then y x y**-1 = x**r gives
+r = r'**u mod m, so <r> = <r'>.  Conversely, if r = r'**v with v prime to
+ord(r'), some unit u mod n is v mod ord(r'), and x -> x', y -> y'**u is an
+isomorphism.  So (m, n, <r>) is a complete invariant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
-from .errors import EvenOrder, NoPrimitiveCubeRoot
-from .numtheory import _element_of_order, _factorize, _prime_modulus
+from .numtheory import _element_of_order, _factorize
+from .orders import _check_d3, _odd_order
 
 
 def validate_metacyclic(m: int, n: int, r: int) -> tuple[bool, str | None]:
@@ -80,7 +89,10 @@ def group_order(params: MetacyclicParams) -> int:
 
 def theorem1_applies(params: MetacyclicParams) -> bool:
     """Whether the group order is odd and not divisible by 9."""
-    order = group_order(params)
+    return _theorem1_order(group_order(params))
+
+
+def _theorem1_order(order: int) -> bool:
     return order % 2 == 1 and order % 9 != 0
 
 
@@ -92,10 +104,7 @@ class SylowDescriptor:
 
     @property
     def total_order(self) -> int:
-        total = 1
-        for _, order, _ in self.entries:
-            total *= order
-        return total
+        return prod(order for _, order, _ in self.entries)
 
 
 def sylow_structure(params: MetacyclicParams) -> SylowDescriptor:
@@ -105,27 +114,21 @@ def sylow_structure(params: MetacyclicParams) -> SylowDescriptor:
     exactly one of m and n and its Sylow subgroup is cyclic of the full
     prime-power order.
     """
-    order = group_order(params)
-    if order % 2 == 0:
-        raise EvenOrder(f"order {order} is even; only odd order is encoded")
-    entries = tuple(
-        (q, q**e, "cyclic") for q, e in _factorize(order).items()
-    )
-    return SylowDescriptor(entries)
+    order = _odd_order(group_order(params))
+    return SylowDescriptor(tuple((q, q**e, "cyclic") for q, e in _factorize(order).items()))
 
 
 def d_pk3_params(p: int, k: int) -> MetacyclicParams:
-    """The presentation (p**k, 3, r) with r the least nontrivial cube root
-    of 1 mod p**k: the lesser of h and h**2 for one h of exact order 3 mod
-    p**k (``_element_of_order``); exists exactly when p = 1 mod 3, for a
-    prime p >= 5 (``_prime_modulus``)."""
-    p = _prime_modulus(p, 5)
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if p % 3 != 1:
-        raise NoPrimitiveCubeRoot(f"3 does not divide p - 1 for p = {p}")
+    """The presentation (p**k, 3, r), r the least nontrivial cube root of 1
+    mod p**k, for a prime p = 1 mod 3 and k >= 1 (``orders._check_d3``)."""
+    return MetacyclicParams(*_d_pk3(_check_d3(p, k), k))
+
+
+def _d_pk3(p: int, k: int) -> tuple[int, int, int]:
+    """``d_pk3_params``' triple, unchecked: r is the lesser of h and h**2 for
+    one h of exact order 3 mod p**k (``_element_of_order``)."""
     m = p**k
-    return MetacyclicParams(m, 3, min(_powers(_element_of_order(p, m, 3, [3]), m)))
+    return m, 3, min(_powers(_element_of_order(p, m, 3, [3]), m))
 
 
 def _smallest_prime_factors(limit: int) -> list[int]:
@@ -161,15 +164,12 @@ def _powers(x: int, m: int) -> list[int]:
     return powers
 
 
-def _admissible_r(m: int, n: int, spf: list[int]) -> list[int]:
-    """All r in [0, m) with gcd((r-1)*n, m) = 1 and r**n = 1 mod m, ascending.
-
-    Built by the Chinese remainder theorem from the local roots of each
-    prime power exactly dividing m (see the module docstring); ``spf`` must
-    cover m.  For m = 1 this is [0].
-    """
+def _admissible_r(prime_powers: list[tuple[int, int]], n: int, spf: list[int]) -> list[int]:
+    """All r in [0, m) with gcd((r-1)*n, m) = 1 and r**n = 1 mod m, ascending,
+    for m with the exact prime powers ``prime_powers`` (see the module
+    docstring; [0] for m = 1).  ``spf`` must cover n."""
     roots, modulus = [0], 1
-    for p, q in _prime_powers(m, spf):
+    for p, q in prime_powers:
         d = gcd(n, p - 1)
         if n % p == 0 or d == 1:
             return []
@@ -183,18 +183,17 @@ def _admissible_r(m: int, n: int, spf: list[int]) -> list[int]:
 
 
 def _presentations(max_order: int):
-    """Each odd-order presentation with m*n <= max_order and the (prime,
-    order) pairs of its Sylow subgroups, sorted by (order, m, n, r).
+    """(m, n, r, sylow) as plain ints for each odd-order presentation with
+    m*n <= max_order, one per isomorphism class, sorted by (order, m, n, r),
+    with the (prime, order) pairs of its Sylow subgroups; valid by
+    construction, so not checked here.
 
     The bound is checked and the one smallest-prime-factor table built on
     the call, before the first item.  The walk takes the odd orders
     ascending; for each, m = 1 and then the products m > 1 of its exact
     prime powers, ascending; and for each (m, n) the admissible r,
     ascending.  An r is emitted unless it is marked, and then the
-    generators r**a of <r>, gcd(a, ord r) = 1, are marked, so the first r
-    met in each subgroup is its least (the module docstring gives the
-    argument and the cost).  Every emitted triple is still checked by
-    ``MetacyclicParams``.
+    generators of <r> are marked (see the module docstring).
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
@@ -203,16 +202,16 @@ def _presentations(max_order: int):
     def walk():
         for order in range(1, max_order + 1, 2):
             sylow = _prime_powers(order, spf)
-            yield MetacyclicParams(1, order, 0), sylow
-            divisors: list[int] = []
-            for _, q in sylow:
-                divisors += [q] + [m * q for m in divisors]
-            for m in sorted(divisors):
+            yield 1, order, 0, sylow
+            divisors: list[tuple[int, list]] = []
+            for p, q in sylow:
+                divisors += [(q, [(p, q)])] + [(m * q, f + [(p, q)]) for m, f in divisors]
+            for m, factors in sorted(divisors):
                 n = order // m
                 marked: set[int] = set()
-                for r in _admissible_r(m, n, spf):
+                for r in _admissible_r(factors, n, spf):
                     if r not in marked:
-                        yield MetacyclicParams(m, n, r), sylow
+                        yield m, n, r, sylow
                         powers = _powers(r, m)
                         order_r = len(powers) + 1
                         marked.update(y for a, y in enumerate(powers, 1) if gcd(a, order_r) == 1)
@@ -221,12 +220,10 @@ def _presentations(max_order: int):
 
 
 def enumerate_periodic_odd(max_order: int) -> list[MetacyclicParams]:
-    """All odd-order presentations with m*n <= max_order, deduplicated.
-
-    Two triples with equal (m, n) and equal cyclic subgroup generated by r
-    are merged into the least-r representative.  That key is a conservative
-    merge, not a complete isomorphism invariant: distinct keys may in
-    principle still present isomorphic groups.  Output is sorted by
-    (order, m, n, r), as ``_presentations`` walks them.
+    """All odd-order presentations with m*n <= max_order, one presentation
+    per isomorphism class: the least r for each (m, n, <r>), a complete
+    invariant (the module docstring gives the proof).  Output is sorted by
+    (order, m, n, r), as ``_presentations`` walks them, and each triple is
+    checked as a ``MetacyclicParams``.
     """
-    return [g for g, _ in _presentations(max_order)]
+    return [MetacyclicParams(m, n, r) for m, n, r, _ in _presentations(max_order)]

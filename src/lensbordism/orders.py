@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import EvenModulus, NoSuchGroup, Unspecified
+from .errors import EvenOrder, NoSuchGroup, Unspecified
 from .numtheory import _factorize, _prime_modulus
 
 _MAX_INT = 2**63 - 1
@@ -106,9 +106,7 @@ def e2_diagonal(n: int) -> E2Diagonal:
     the only nonzero terms sit at (r, s) = (1, 4) and (5, 0), each of order
     n, since the Z_2-coefficient terms vanish for odd n.
     """
-    if n % 2 == 0:
-        raise EvenModulus(f"{n} is even; only odd-order groups are encoded")
-    if len(_factorize(n)) != 1:
+    if len(_factorize(_odd_order(n))) != 1:
         raise ValueError(f"odd prime power required, got {n}")
     terms = tuple(
         (r, 5 - r, _reduced_homology_order(r, n, SPIN_COEFFICIENTS.group(5 - r)))
@@ -134,12 +132,28 @@ def _checked_power(base: int, exponent: int, factor: int = 1) -> int:
     )
 
 
-def _check(p: int, k: int, min_p: int = 3, min_k: int = 1) -> None:
-    """Reject a p that is not a prime >= min_p (``_prime_modulus``), or a k
-    below min_k."""
-    _prime_modulus(p, min_p)
+def _odd_order(n: int) -> int:
+    """n, if odd: the one rule of the odd-order restriction (``EvenOrder``)."""
+    if n % 2 == 0:
+        raise EvenOrder(f"order {n} is even; only odd order is encoded")
+    return n
+
+
+def _check(p: int, k: int, min_p: int = 3, min_k: int = 1) -> int:
+    """p as a prime >= min_p (``_prime_modulus``), if k is at least min_k."""
+    p = _prime_modulus(p, min_p)
     if k < min_k:
         raise ValueError(f"k must be at least {min_k}, got {k}")
+    return p
+
+
+def _check_d3(p: int, k: int) -> int:
+    """p as a prime >= 5 with p = 1 mod 3, if k >= 1: the one rule of the
+    n = 3 family (p**k, 3, r), which has no r unless 3 divides p - 1."""
+    p = _check(p, k, 5)
+    if p % 3 != 1:
+        raise NoSuchGroup(f"3 does not divide p - 1 for p = {p}")
+    return p
 
 
 def bordism_order_cyclic(p: int, k: int) -> int:
@@ -204,8 +218,5 @@ def transfer_inclusion_scalar(subgroup_index: int, class_order: int) -> int:
 def bordism_order_metacyclic_d3(p: int, k: int) -> int:
     """9 * p**k, the order of the (cyclic) bordism group over the metacyclic
     group with parameters (p**k, 3, r); requires p = 1 mod 3 for the group
-    to exist."""
-    _check(p, k, 5)
-    if p % 3 != 1:
-        raise NoSuchGroup(f"3 does not divide p - 1 for p = {p}")
-    return _checked_power(p, k, 9)
+    to exist (``_check_d3``)."""
+    return _checked_power(_check_d3(p, k), k, 9)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from lensbordism import __version__, cli
+from lensbordism import __version__, cli, groups, orders
 from lensbordism.cli import Report, _json, _lemma5_workers, _write_report, main
 from lensbordism.groups import MetacyclicParams, sylow_structure
 from lensbordism.numtheory import PrimeModulus
@@ -468,6 +468,19 @@ class TestOrdersD3:
             2, "", "error: k must be at least 1, got 0\n"
         )
 
+    def test_family_rule_is_decided_once(self, capsys, monkeypatch):
+        calls = []
+        real = orders._check_d3
+
+        def counting(p, k):
+            calls.append((p, k))
+            return real(p, k)
+
+        monkeypatch.setattr(orders, "_check_d3", counting)
+        monkeypatch.setattr(groups, "_check_d3", counting)
+        assert run(capsys, "orders-d3", "--p", "13", "--k", "2")[0] == 0
+        assert calls == [(13, 2)]
+
     def test_p_beyond_primality_bound_is_input_error(self, capsys):
         code, out, err = run(
             capsys, "orders-d3", "--p", "3317044064679887385961983", "--k", "1"
@@ -531,7 +544,7 @@ class TestGroups:
         args = [("groups", "--max-order", "600", "--format", fmt) for fmt in ("json", "csv", "text")]
         built = [run(capsys, *a) for a in args]
         scanned = [
-            (g, [(q, o) for q, o, _ in sylow_structure(g).entries])
+            (g.m, g.n, g.r, [(q, o) for q, o, _ in sylow_structure(g).entries])
             for g in _scan_periodic_odd(600)
         ]
         monkeypatch.setattr(cli, "_presentations", lambda max_order: scanned)
@@ -551,6 +564,17 @@ class TestGroups:
             tracemalloc.stop()
         assert code == 0
         assert peak < 1.2e6
+
+    def test_report_checks_no_triple_again(self, capsys, monkeypatch):
+        # the walk's triples are valid by construction and reach the report
+        # as ints; only ``enumerate_periodic_odd`` checks them
+        calls = []
+        real = groups.validate_metacyclic
+        monkeypatch.setattr(groups, "validate_metacyclic", lambda *g: calls.append(g) or real(*g))
+        code, out, _ = run(capsys, "groups", "--max-order", "3000", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["summary"]["groups_listed"] == 2064
+        assert calls == []
 
     def test_sylow_entries_match_sylow_structure(self, capsys):
         # the CLI factors each order from one smallest-prime-factor table;

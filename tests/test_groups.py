@@ -1,14 +1,19 @@
 """Tests for metacyclic presentation validation and enumeration."""
 
 import math
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
-from lensbordism.errors import EvenOrder, NoPrimitiveCubeRoot
+from lensbordism import groups
+from lensbordism.errors import EvenOrder, NoSuchGroup
 from lensbordism.groups import (
     MetacyclicParams,
     _admissible_r,
     _powers,
+    _presentations,
+    _prime_powers,
     _smallest_prime_factors,
     d_pk3_params,
     enumerate_periodic_odd,
@@ -58,7 +63,7 @@ def _dedup_by_span(max_order):
                 found.append(MetacyclicParams(1, n, 0))
                 continue
             seen = set()
-            for r in _admissible_r(m, n, spf):
+            for r in _admissible_r(_prime_powers(m, spf), n, spf):
                 span, x = {1}, r
                 while x != 1:
                     span.add(x)
@@ -83,6 +88,71 @@ def _d_pk3_by_scan(p, k):
         if y != 1:
             return MetacyclicParams(m, 3, min(y, y * y % m))
     raise AssertionError(f"no cube root of 1 found mod {m}")
+
+
+def _multiply(m, n, r):
+    """The product of the group presented by (m, n, r), its elements written
+    as pairs (a, b) for x**a y**b: y**b x**c = x**(c r**b) y**b, so
+    (a, b)(c, d) = (a + c r**b, b + d)."""
+    rpow = [pow(r, b, m) for b in range(n)]
+    return lambda g, h: ((g[0] + h[0] * rpow[g[1]]) % m, (g[1] + h[1]) % n)
+
+
+def _element_orders(m, n, r):
+    """{element: order} for the group presented by (m, n, r), by walking the
+    powers of each element not yet met: g**i has order k / gcd(i, k) when g
+    has order k."""
+    mul, one = _multiply(m, n, r), (0, 0)
+    orders = {one: 1}
+    for g in ((a, b) for a in range(m) for b in range(n)):
+        if g in orders:
+            continue
+        powers, h = [g], g
+        while h != one:
+            h = mul(h, g)
+            powers.append(h)
+        k = len(powers)
+        for i, h in enumerate(powers, 1):
+            orders[h] = k // math.gcd(i, k)
+    return orders
+
+
+def _isomorphic(first, second):
+    """Whether the groups presented by two triples of the same order are
+    isomorphic, by brute force: some X, Y in the second group satisfy the
+    first one's relations X**m = Y**n = 1, Y X = X**r Y and generate it.
+
+    X and Y are taken of exact orders m and n, as an isomorphism keeps the
+    orders of x and y, and X one per cyclic subgroup, since x -> x**s, y -> y
+    is an automorphism of the first group for every unit s mod m."""
+    m, n, r = first
+    mul = _multiply(*second)
+    orders = _element_orders(*second)
+    one, size = (0, 0), second[0] * second[1]
+    ys = [g for g, k in orders.items() if k == n]
+    seen = set()
+    for x in (g for g, k in orders.items() if k == m):
+        if x in seen:
+            continue
+        xr, h = one, one  # x**r, and the powers of x into seen
+        for i in range(1, m + 1):
+            h = mul(h, x)
+            seen.add(h)
+            if i == r:
+                xr = h
+        for y in ys:
+            if mul(y, x) != mul(xr, y):
+                continue
+            span, todo = {one}, [one]
+            while todo:
+                g = todo.pop()
+                for t in (mul(g, x), mul(g, y)):
+                    if t not in span:
+                        span.add(t)
+                        todo.append(t)
+            if len(span) == size:
+                return True
+    return False
 
 
 class TestValidateMetacyclic:
@@ -169,7 +239,7 @@ class TestDpk3Params:
     def test_examples(self):
         assert d_pk3_params(7, 1) == MetacyclicParams(7, 3, 2)
         assert d_pk3_params(13, 1) == MetacyclicParams(13, 3, 3)
-        with pytest.raises(NoPrimitiveCubeRoot):
+        with pytest.raises(NoSuchGroup):
             d_pk3_params(5, 1)
 
     def test_bad_inputs(self):
@@ -184,7 +254,7 @@ class TestDpk3Params:
         for pm in primes_in_range(5, 500):
             p = int(pm)
             if p % 3 != 1:
-                with pytest.raises(NoPrimitiveCubeRoot):
+                with pytest.raises(NoSuchGroup):
                     d_pk3_params(p, 1)
                 continue
             for k in (1, 2, 3):
@@ -269,7 +339,7 @@ def test_admissible_r_is_the_crt_of_local_roots():
     for m in range(1, 251, 2):
         primes = [p for p in range(3, m + 1, 2) if m % p == 0 and is_prime(p)]
         for n in range(1, 46, 2):
-            got = _admissible_r(m, n, spf)
+            got = _admissible_r(_prime_powers(m, spf), n, spf)
             want = [
                 r for r in range(m)
                 if math.gcd((r - 1) * n, m) == 1 and pow(r, n, m) == 1 % m
@@ -298,3 +368,65 @@ def test_roots_of_unity_are_the_nontrivial_dth_roots():
     # d = 9 does not divide 7 - 1: every candidate gives 1, and the search raises
     with pytest.raises(ValueError):
         _element_of_order(7, 7, 9, [3])
+
+
+class TestOnePresentationPerIsomorphismClass:
+    """The brute-force oracle for the claim in the ``groups`` docstring."""
+
+    def test_search_finds_the_merged_pairs(self):
+        # the walk lists (7, 3, 2) only: <4> = <2> mod 7
+        assert _isomorphic((7, 3, 2), (7, 3, 4))
+        assert _isomorphic((7, 3, 4), (7, 3, 2))
+        assert _isomorphic((13, 9, 3), (13, 9, 9))
+        assert not _isomorphic((7, 3, 2), (1, 21, 0))
+        assert not _isomorphic((1, 21, 0), (7, 3, 2))
+
+    def test_listed_presentations_are_pairwise_non_isomorphic_up_to_1000(self):
+        # 216 pairs of equal order; 7 of them have equal element-order
+        # multisets, and the search finds none of those isomorphic
+        by_order: dict[int, list] = {}
+        for g in enumerate_periodic_odd(1000):
+            by_order.setdefault(group_order(g), []).append((g.m, g.n, g.r))
+        pairs = [pair for listed in by_order.values() for pair in combinations(listed, 2)]
+        spectra = {
+            g: Counter(_element_orders(*g).values()) for pair in pairs for g in pair
+        }
+        alike = [(g, h) for g, h in pairs if spectra[g] == spectra[h]]
+        assert (len(pairs), len(alike)) == (216, 7)
+        for g, h in alike:
+            assert not _isomorphic(g, h), (g, h)
+
+
+class TestEachTripleCheckedOnce:
+    def test_only_the_public_list_checks_the_walk(self, monkeypatch):
+        calls = []
+        real = groups.validate_metacyclic
+
+        def counting(m, n, r):
+            calls.append((m, n, r))
+            return real(m, n, r)
+
+        monkeypatch.setattr(groups, "validate_metacyclic", counting)
+        walked = [(m, n, r) for m, n, r, _ in _presentations(3000)]
+        assert calls == []
+        listed = enumerate_periodic_odd(3000)
+        assert calls == walked == [(g.m, g.n, g.r) for g in listed]
+        assert len(listed) == 2064
+
+    def test_one_factorisation_per_order_and_per_root_search(self, monkeypatch):
+        counts = Counter()
+
+        def counted(name):
+            real = getattr(groups, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(groups, name, wrapper)
+
+        counted("_prime_powers")
+        counted("_element_of_order")
+        enumerate_periodic_odd(3000)
+        assert counts["_element_of_order"] > 0
+        assert counts["_prime_powers"] == 1500 + counts["_element_of_order"]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from lensbordism.errors import EvenModulus, NoSuchGroup, Unspecified
+from lensbordism.errors import EvenOrder, NoSuchGroup, Unspecified
 from lensbordism.numtheory import primes_in_range
 from lensbordism.orders import (
     SPIN_COEFFICIENTS,
@@ -55,9 +55,9 @@ class TestE2Diagonal:
         assert diag.product == n * n
 
     def test_even_modulus_rejected(self):
-        with pytest.raises(EvenModulus):
+        with pytest.raises(EvenOrder):
             e2_diagonal(8)
-        with pytest.raises(EvenModulus):
+        with pytest.raises(EvenOrder):
             e2_diagonal(2)
 
     def test_non_prime_power_rejected(self):
