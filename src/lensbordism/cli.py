@@ -2,12 +2,16 @@
 
 Each ``cmd_<name>`` handler runs its input checks, and every eager step
 that can raise an input error, then returns a ``Report``: the params, an
-iterator over the entries and one text and one CSV formatter per entry.
-``main`` streams it with ``_write_report`` to stdout or ``--out`` as text,
-CSV or JSON, entry by entry as they are computed, and builds only the
-format asked for.  JSON output is always the object {version, command,
-params, entries, summary}, byte for byte as the standard ``json`` module
-writes it with an indent of 2.
+iterator over the entries and one text, one CSV and one JSON formatter per
+entry.  ``main`` streams it with ``_write_report`` to stdout or ``--out``
+as text, CSV or JSON, entry by entry as they are computed, and builds only
+the format asked for.  JSON output is always the object {version,
+command, params, entries, summary}, byte for byte as the standard ``json``
+module writes it with an indent of 2.  The many entries of ``lemma5`` and
+``groups`` are rendered by a function compiled once, at import, from each
+command's declared entry shape (``_json_template``); everything else, the
+single entries of the other commands, the params, the summary and the
+stderr dicts, by the generic ``_json``.
 
 Exit codes: 0 success, 1 verification failure or oracle disagreement, 2
 usage or input error, running out of memory or an output that cannot be
@@ -58,9 +62,10 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a write to a closed 
 
 # Largest accepted `lemma5 --max` and `groups --max-order`.  The sieve and
 # the smallest-prime-factor table grow about linearly with them (reports and
-# presentations are streamed); at these bounds a JSON run peaked at 22.6 and
-# 20.2 MB and took 5.2-8.4 and 3.5-7.1 s on a shared 2-core machine (6 and 8
-# runs, Python 3.11).
+# presentations are streamed); at these bounds a JSON run peaked at 23.4-23.6
+# and 20.5 MB and took 4.2-4.7 and 0.8-1.4 s on a shared 2-core machine (4 and
+# 5 runs, Python 3.11), against 4.4-5.8 and 2.0-2.8 s in interleaved runs
+# without the compiled entry templates and the pruned ``groups`` walk.
 LEMMA5_MAX = 10**6
 GROUPS_MAX_ORDER = 10**5
 # Largest `--p` accepted with `independent --brute`: the oracle is O(p) time
@@ -77,35 +82,6 @@ BRUTE_BELOW_MAX = 10**4
 JOBS_PER_CORE = 4
 
 
-def _spread(entry: dict) -> list:
-    """An entry's values in order, each list spread over one item per column."""
-    return [x for v in entry.values() for x in (v if isinstance(v, list) else [v])]
-
-
-@dataclass
-class Report:
-    """What one subcommand computes, for ``_write_report`` to stream.
-
-    ``entries`` is an iterable of entry dicts, read once.  ``to_text(entry)``
-    is an entry's text lines as one string and ``to_row(entry)`` its CSV row;
-    ``head`` and ``tail`` are the text lines before and after the entries
-    and ``fields`` the CSV header.  Iterating ``entries`` to its end may
-    fill in ``summary``, ``tail``, ``stderr`` (a dict is written as JSON)
-    and ``code``, so they are read only after it.
-    """
-
-    params: dict
-    entries: object
-    to_text: object
-    fields: list[str]
-    to_row: object = _spread
-    head: list[str] = field(default_factory=list)
-    summary: dict = field(default_factory=lambda: {"failures": 0})
-    tail: list[str] = field(default_factory=list)
-    stderr: list[str | dict] = field(default_factory=list)
-    code: int = EXIT_OK
-
-
 _quote = json.encoder.encode_basestring_ascii
 
 
@@ -114,7 +90,10 @@ def _json(obj, pad: str = "") -> str:
     line after the first indented by ``pad``.  Dict keys must be strings.
 
     The standard encoder indents in pure Python; this keeps its output and
-    does the same work in fewer calls, with the C string quoting.
+    does the same work in fewer calls, with the C string quoting.  It is
+    the writer of every JSON value except the ``lemma5`` and ``groups``
+    entries, which ``_json_template`` renders as this does, 3 to 4 times
+    faster.
     """
     kind = type(obj)
     if kind is str:
@@ -139,6 +118,93 @@ def _json(obj, pad: str = "") -> str:
         items = [_json(v, inner) for v in obj]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     return json.dumps(obj)
+
+
+def _json_entry(entry: dict) -> str:
+    """``entry`` as it sits in a report's entries list."""
+    return _json(entry, "    ")
+
+
+def _fstring_text(text: str) -> str:
+    """``text`` escaped as literal text inside ``f"..."``."""
+    for a, b in (("\\", "\\\\"), ('"', '\\"'), ("\n", "\\n"), ("{", "{{"), ("}", "}}")):
+        text = text.replace(a, b)
+    return text
+
+
+def _json_template(shape: dict, pad: str = "    "):
+    """A function that renders a dict of the non-empty ``shape`` as
+    ``_json(entry, pad)`` does, with one f-string compiled here.
+
+    ``shape`` maps each key, in the order the entries hold them, to its
+    kind: ``int``, ``bool``, ``str``, ``[int]`` (a list of ints) or
+    ``[inner]`` (a list of dicts of the flat shape ``inner``).  The keys
+    are written in ``shape``'s order and each value as its declared kind,
+    so the shape must match what the handler builds; the tests check the
+    two shapes in use against ``_json`` over whole ranges.
+    """
+    inner, deeper = pad + "  ", pad + "    "
+    env: dict = {"_q": _quote}
+
+    def bind(value) -> str:
+        """A name for ``value`` in the compiled function's globals."""
+        name = f"_{len(env)}"
+        env[name] = value
+        return name
+
+    fields = []
+    for key, kind in shape.items():
+        value = f"e[{bind(key)}]"
+        if kind is int:
+            expr = value
+        elif kind is bool:
+            expr = f"{bind('true')} if {value} else {bind('false')}"
+        elif kind is str:
+            expr = f"_q({value})"
+        else:
+            (item,) = kind
+            each = "str" if item is int else bind(_json_template(item, deeper))
+            head, sep, tail = "[\n" + deeper, ",\n" + deeper, "\n" + inner + "]"
+            expr = (
+                f"{bind(head)} + {bind(sep)}.join(map({each}, {value})) + {bind(tail)} "
+                f"if {value} else {bind('[]')}"
+            )
+        fields.append(_fstring_text(_quote(key) + ": ") + "{" + expr + "}")
+    body = _fstring_text(",\n" + inner).join(fields)
+    head, tail = _fstring_text("{\n" + inner), _fstring_text("\n" + pad + "}")
+    exec(f'def render(e):\n    return f"{head}{body}{tail}"\n', env)
+    return env["render"]
+
+
+def _spread(entry: dict) -> list:
+    """An entry's values in order, each list spread over one item per column."""
+    return [x for v in entry.values() for x in (v if isinstance(v, list) else [v])]
+
+
+@dataclass
+class Report:
+    """What one subcommand computes, for ``_write_report`` to stream.
+
+    ``entries`` is an iterable of entry dicts, read once.  ``to_text(entry)``
+    is an entry's text lines as one string, ``to_row(entry)`` its CSV row and
+    ``to_json(entry)`` its JSON, indented to sit in the entries list;
+    ``head`` and ``tail`` are the text lines before and after the entries
+    and ``fields`` the CSV header.  Iterating ``entries`` to its end may
+    fill in ``summary``, ``tail``, ``stderr`` (a dict is written as JSON)
+    and ``code``, so they are read only after it.
+    """
+
+    params: dict
+    entries: object
+    to_text: object
+    fields: list[str]
+    to_row: object = _spread
+    to_json: object = _json_entry
+    head: list[str] = field(default_factory=list)
+    summary: dict = field(default_factory=lambda: {"failures": 0})
+    tail: list[str] = field(default_factory=list)
+    stderr: list[str | dict] = field(default_factory=list)
+    code: int = EXIT_OK
 
 
 class _Batched:
@@ -175,9 +241,9 @@ def _write_report(report: Report, command: str, fmt: str, out) -> None:
                 f'  "params": {_json(report.params, "  ")},\n'
                 '  "entries": ['
             )
-            sep = "\n    "
+            sep, to_json = "\n    ", report.to_json
             for entry in report.entries:
-                write(sep + _json(entry, "    "))
+                write(sep + to_json(entry))
                 sep = ",\n    "
             close = "]" if sep == "\n    " else "\n  ]"
             write(f'{close},\n  "summary": {_json(report.summary, "  ")}\n}}\n')
@@ -304,6 +370,20 @@ def _lemma5_text(e: dict) -> str:
     return line + "  [brute-checked]" if e["brute_checked"] else line
 
 
+_lemma5_json = _json_template(
+    {
+        "p": int,
+        "weights_a": [int],
+        "weights_b": [int],
+        "Q": int,
+        "R": int,
+        "stage": str,
+        "certificate": int,
+        "brute_checked": bool,
+    }
+)
+
+
 def cmd_lemma5(ns) -> Report:
     if not 5 <= ns.min <= ns.max:
         raise ValueError(f"need 5 <= min <= max, got [{ns.min}, {ns.max}]")
@@ -348,6 +428,7 @@ def cmd_lemma5(ns) -> Report:
             "p", "qa1", "qa2", "qa3", "qb1", "qb2", "qb3",
             "Q", "R", "stage", "certificate", "brute_checked",
         ],
+        to_json=_lemma5_json,
         head=[f"generator pairs for primes in [{ns.min}, {ns.max}]"],
     )
     return report
@@ -535,6 +616,18 @@ def _groups_row(e: dict) -> list:
     return [e["order"], e["m"], e["n"], e["r"], sylow, e["theorem1_applies"]]
 
 
+_groups_json = _json_template(
+    {
+        "m": int,
+        "n": int,
+        "r": int,
+        "order": int,
+        "sylow": [{"prime": int, "order": int, "shape": str}],
+        "theorem1_applies": bool,
+    }
+)
+
+
 def cmd_groups(ns) -> Report:
     if ns.max_order > GROUPS_MAX_ORDER:
         raise ValueError(f"--max-order must be at most {GROUPS_MAX_ORDER}, got {ns.max_order}")
@@ -565,6 +658,7 @@ def cmd_groups(ns) -> Report:
         _groups_text,
         ["order", "m", "n", "r", "sylow", "theorem1_applies"],
         to_row=_groups_row,
+        to_json=_groups_json,
         head=[f"odd-order presentations with order <= {ns.max_order}"],
     )
     return report

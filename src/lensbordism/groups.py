@@ -19,12 +19,16 @@ there are none once some d is 1.  The Chinese remainder theorem combines
 them into the r mod m.  In ascending order, the first r met in each cyclic
 subgroup <r> is kept and the generators of <r> are marked, so the work is
 ord(r) once per subgroup.  Only the m that are products of exact prime
-powers of the order m*n can list anything.  The cost: a smallest-prime-
-factor table of max_order + 1 entries per call, one factorisation from it
-per odd order and one per ``_element_of_order`` call, and work
-proportional to the admissible r built.  The walk yields plain ints, valid
-by construction; ``enumerate_periodic_odd``, the public edge, checks each
-as a ``MetacyclicParams``, and the tests check the walk against a scan.
+powers of the order m*n can list anything, and only of those p**e with
+gcd(order / p**e, p-1) > 1: n divides order / p**e, so otherwise d is 1.
+The cost: a smallest-prime-factor table of max_order + 1 entries per
+call, one factorisation from it per odd order and one per
+``_element_of_order`` call, and work proportional to the admissible r
+built; few (m, n) left after the pruning have no r (6 of the 473 up to
+order 3,000, 477 of the 23,953 up to 10**5).  The walk yields plain ints,
+valid by construction; ``enumerate_periodic_odd``, the public edge, checks
+each as a ``MetacyclicParams``, and the tests check the walk against a
+scan.
 
 One presentation per isomorphism class: for m > 1, [y, x] = x**(r-1)
 generates <x> and G/<x> is cyclic, so the commutator subgroup G' is <x>
@@ -191,9 +195,10 @@ def _presentations(max_order: int):
     The bound is checked and the one smallest-prime-factor table built on
     the call, before the first item.  The walk takes the odd orders
     ascending; for each, m = 1 and then the products m > 1 of its exact
-    prime powers, ascending; and for each (m, n) the admissible r,
-    ascending.  An r is emitted unless it is marked, and then the
-    generators of <r> are marked (see the module docstring).
+    prime powers p**e with gcd(order / p**e, p-1) > 1, ascending (no other
+    divides a listed m); and for each (m, n) the admissible r, ascending.
+    An r is emitted unless it is marked, and then the generators of <r>
+    are marked (see the module docstring).
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
@@ -205,7 +210,8 @@ def _presentations(max_order: int):
             yield 1, order, 0, sylow
             divisors: list[tuple[int, list]] = []
             for p, q in sylow:
-                divisors += [(q, [(p, q)])] + [(m * q, f + [(p, q)]) for m, f in divisors]
+                if gcd(order // q, p - 1) > 1:
+                    divisors += [(q, [(p, q)])] + [(m * q, f + [(p, q)]) for m, f in divisors]
             for m, factors in sorted(divisors):
                 n = order // m
                 marked: set[int] = set()

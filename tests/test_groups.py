@@ -430,3 +430,20 @@ class TestEachTripleCheckedOnce:
         enumerate_periodic_odd(3000)
         assert counts["_element_of_order"] > 0
         assert counts["_prime_powers"] == 1500 + counts["_element_of_order"]
+
+    def test_walk_skips_the_prime_powers_no_listed_m_holds(self, monkeypatch):
+        # p**e divides no listed m of an order when gcd(order / p**e, p-1)
+        # is 1; with those left out, 6 of the (m, n) tried still give no r
+        calls, empty = [], []
+        real = groups._admissible_r
+
+        def counting(prime_powers, n, spf):
+            roots = real(prime_powers, n, spf)
+            calls.append((prime_powers, n))
+            if not roots:
+                empty.append((prime_powers, n))
+            return roots
+
+        monkeypatch.setattr(groups, "_admissible_r", counting)
+        assert sum(1 for _ in _presentations(3000)) == 2064
+        assert (len(calls), len(empty)) == (473, 6)
