@@ -26,11 +26,9 @@ leave a truncated report on stdout and no ``--out`` file.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 
 from . import __version__
 from .errors import LensBordismError, SearchExhausted, Unspecified
@@ -181,30 +179,41 @@ def _spread(entry: dict) -> list:
     return [x for v in entry.values() for x in (v if isinstance(v, list) else [v])]
 
 
-@dataclass
 class Report:
     """What one subcommand computes, for ``_write_report`` to stream.
 
     ``entries`` is an iterable of entry dicts, read once.  ``to_text(entry)``
-    is an entry's text lines as one string, ``to_row(entry)`` its CSV row and
-    ``to_json(entry)`` its JSON, indented to sit in the entries list;
-    ``head`` and ``tail`` are the text lines before and after the entries
-    and ``fields`` the CSV header.  Iterating ``entries`` to its end may
-    fill in ``summary``, ``tail``, ``stderr`` (a dict is written as JSON)
-    and ``code``, so they are read only after it.
+    is an entry's text lines as one string, ``to_row(entry)`` its CSV row
+    (by default its values, each list spread over one column per item) and
+    ``to_json(entry)`` its JSON, indented to sit in the entries list (by
+    default ``_json``); ``head`` and ``tail`` are the text lines before and
+    after the entries and ``fields`` the CSV header.  ``summary`` defaults
+    to {"failures": 0}, and the lists to new empty ones.  Iterating
+    ``entries`` to its end may fill in ``summary``, ``tail``, ``stderr`` (a
+    dict is written as JSON) and ``code``, so they are read only after it.
     """
 
-    params: dict
-    entries: object
-    to_text: object
-    fields: list[str]
-    to_row: object = _spread
-    to_json: object = _json_entry
-    head: list[str] = field(default_factory=list)
-    summary: dict = field(default_factory=lambda: {"failures": 0})
-    tail: list[str] = field(default_factory=list)
-    stderr: list[str | dict] = field(default_factory=list)
-    code: int = EXIT_OK
+    def __init__(
+        self,
+        params: dict,
+        entries,
+        to_text,
+        fields: list[str],
+        to_row=_spread,
+        to_json=_json_entry,
+        head: list[str] | None = None,
+        summary: dict | None = None,
+        tail: list[str] | None = None,
+        stderr: list[str | dict] | None = None,
+        code: int = EXIT_OK,
+    ) -> None:
+        self.params, self.entries, self.fields = params, entries, fields
+        self.to_text, self.to_row, self.to_json = to_text, to_row, to_json
+        self.head = [] if head is None else head
+        self.summary = {"failures": 0} if summary is None else summary
+        self.tail = [] if tail is None else tail
+        self.stderr = [] if stderr is None else stderr
+        self.code = code
 
 
 class _Batched:
@@ -248,6 +257,9 @@ def _write_report(report: Report, command: str, fmt: str, out) -> None:
             close = "]" if sep == "\n    " else "\n  ]"
             write(f'{close},\n  "summary": {_json(report.summary, "  ")}\n}}\n')
         elif fmt == "csv":
+            # imported here so text and JSON runs do not pay for it
+            import csv
+
             writer = csv.writer(sink, lineterminator="\n")
             writer.writerow(report.fields)
             to_row = report.to_row
@@ -307,7 +319,7 @@ def _lemma5_worker(task: tuple[int, int]) -> dict:
             "ok": False,
             "p": p,
             "reason": "search exhausted",
-            "trace": [asdict(step) for step in exc.trace],
+            "trace": [step._asdict() for step in exc.trace],
         }
     entry = {
         "p": p,

@@ -43,10 +43,10 @@ isomorphism.  So (m, n, <r>) is a complete invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, isqrt, prod
 
-from .numtheory import _element_of_order, _factorize
+from .numtheory import _Checked, _element_of_order, _factorize
 from .orders import _check_d3, _odd_order
 
 
@@ -72,18 +72,18 @@ def validate_metacyclic(m: int, n: int, r: int) -> tuple[bool, str | None]:
     return True, None
 
 
-@dataclass(frozen=True)
-class MetacyclicParams:
-    """A validated presentation triple; invalid triples cannot be constructed."""
+class MetacyclicParams(_Checked, namedtuple("MetacyclicParams", "m n r")):
+    """A validated presentation triple; invalid triples cannot be constructed.
 
-    m: int
-    n: int
-    r: int
+    Fields: ``m``, ``n`` and ``r``, ints (``validate_metacyclic``)."""
 
-    def __post_init__(self) -> None:
-        ok, reason = validate_metacyclic(self.m, self.n, self.r)
+    __slots__ = ()
+
+    def __new__(cls, m: int, n: int, r: int) -> MetacyclicParams:
+        ok, reason = validate_metacyclic(m, n, r)
         if not ok:
-            raise ValueError(f"invalid presentation ({self.m}, {self.n}, {self.r}): {reason}")
+            raise ValueError(f"invalid presentation ({m}, {n}, {r}): {reason}")
+        return tuple.__new__(cls, (m, n, r))
 
 
 def group_order(params: MetacyclicParams) -> int:
@@ -100,11 +100,12 @@ def _theorem1_order(order: int) -> bool:
     return order % 2 == 1 and order % 9 != 0
 
 
-@dataclass(frozen=True)
-class SylowDescriptor:
-    """Sylow subgroup data: one (prime, order, shape) entry per prime divisor."""
+class SylowDescriptor(namedtuple("SylowDescriptor", "entries")):
+    """Sylow subgroup data: one (prime, order, shape) entry per prime divisor.
 
-    entries: tuple[tuple[int, int, str], ...]
+    Fields: ``entries``, a tuple of (int, int, str) tuples."""
+
+    __slots__ = ()
 
     @property
     def total_order(self) -> int:

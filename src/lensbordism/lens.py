@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import (
     DegeneratePair,
@@ -37,6 +37,7 @@ from .errors import (
 )
 from .numtheory import (
     PrimeModulus,
+    _Checked,
     _element_of_order,
     _prime_modulus,
     _residue,
@@ -45,52 +46,46 @@ from .numtheory import (
 )
 
 
-@dataclass(frozen=True)
-class LensSpace:
+class LensSpace(_Checked, namedtuple("LensSpace", "p weights")):
     """An odd prime p and a triple of unit weights mod p.
 
-    The weights are stored reduced into [1, p), as ints, and may be given as
-    any integers.  p is stored as a ``PrimeModulus`` (``_prime_modulus``).
+    Fields: ``p``, a ``PrimeModulus`` (``_prime_modulus``); ``weights``, a
+    tuple of three ints, stored reduced into [1, p), which may be given as
+    any integers.
     """
 
-    p: PrimeModulus
-    weights: tuple[int, int, int]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        p = _prime_modulus(self.p, 3)
-        object.__setattr__(self, "p", p)
-        if len(self.weights) != 3:
+    def __new__(cls, p: int, weights: tuple[int, int, int]) -> LensSpace:
+        p = _prime_modulus(p, 3)
+        if len(weights) != 3:
             raise ValueError("exactly three weights required")
         ws = []
-        for w in self.weights:
+        for w in weights:
             v = _residue(w, p)
             if not v:
                 raise NotAUnit(f"weight 0 is 0 mod {p}; the action would not be free")
             ws.append(v)
-        object.__setattr__(self, "weights", tuple(ws))
+        return tuple.__new__(cls, (p, tuple(ws)))
 
 
-@dataclass(frozen=True)
-class PontrjaginPair:
+class PontrjaginPair(_Checked, namedtuple("PontrjaginPair", "beta0 beta1 modulus")):
     """The invariant pair (beta0, beta1) mod a positive int modulus.
 
-    The components may be any integers and are stored reduced into
-    [0, modulus), as ints; a ``PrimeModulus`` modulus is kept as it is, so
-    it is not tested again, and any other is stored as an int."""
+    Fields: ``beta0`` and ``beta1``, ints, which may be given as any
+    integers and are stored reduced into [0, modulus); ``modulus``, an int:
+    a ``PrimeModulus`` is kept as it is, so it is not tested again, and any
+    other is stored as an int."""
 
-    beta0: int
-    beta1: int
-    modulus: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        m = self.modulus
+    def __new__(cls, beta0: int, beta1: int, modulus: int) -> PontrjaginPair:
+        m = modulus
         if not isinstance(m, PrimeModulus):
             m = operator.index(m)
         if m < 1:
             raise ValueError("modulus must be positive")
-        object.__setattr__(self, "modulus", m)
-        object.__setattr__(self, "beta0", _residue(self.beta0, m))
-        object.__setattr__(self, "beta1", _residue(self.beta1, m))
+        return tuple.__new__(cls, (_residue(beta0, m), _residue(beta1, m), m))
 
     def values(self) -> tuple[int, int]:
         return (self.beta0, self.beta1)
@@ -240,36 +235,37 @@ def independent_bruteforce(a: PontrjaginPair, b: PontrjaginPair) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    """One attempted (Q, R) candidate in the generator-pair search."""
+class TraceStep(
+    namedtuple("TraceStep", "stage q r tested independent_ok realized", defaults=(False,))
+):
+    """One attempted (Q, R) candidate in the generator-pair search.
 
-    stage: str
-    q: int
-    r: int
-    tested: int
-    independent_ok: bool
-    realized: bool = False
+    Fields: ``stage``, a str; ``q``, ``r`` and ``tested``, ints;
+    ``independent_ok`` and ``realized`` (default False), bools."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GeneratorPairResult:
+class GeneratorPairResult(
+    namedtuple("GeneratorPairResult", "p first second q r stage certificate proof_trace")
+):
     """Outcome of the staged search: two lens spaces with independent pairs.
 
-    ``q`` and ``r`` keep the stage's nominal values (3 and 6 for the first
-    stage, and so on), which reduce mod p to the actual weight-square sums;
-    ``certificate`` is the k**2 value whose non-residuosity certified
-    independence (0 when one side of the congruence vanished).
+    Fields: ``p``, a ``PrimeModulus``; ``first`` and ``second``,
+    ``LensSpace``s; ``q`` and ``r``, ints; ``stage``, a str;
+    ``certificate``, an int; ``proof_trace``, a tuple of ``TraceStep``s,
+    left out of the repr.  ``q`` and ``r`` keep the stage's nominal values
+    (3 and 6 for the first stage, and so on), which reduce mod p to the
+    actual weight-square sums; ``certificate`` is the k**2 value whose
+    non-residuosity certified independence (0 when one side of the
+    congruence vanished).
     """
 
-    p: PrimeModulus
-    first: LensSpace
-    second: LensSpace
-    q: int
-    r: int
-    stage: str
-    certificate: int
-    proof_trace: tuple[TraceStep, ...] = field(repr=False)
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields[:-1], self))
+        return f"{type(self).__name__}({shown})"
 
 
 def find_generator_pair(p: int) -> GeneratorPairResult:

@@ -95,6 +95,24 @@ class PrimeModulus(int):
         return int.__new__(cls, p)
 
 
+class _Checked:
+    """Mixed in before the ``namedtuple`` base of a record whose ``__new__``
+    checks its fields: ``_make``, and so ``_replace``, and unpickling at any
+    protocol all build through ``__new__``, so none of them makes a record
+    that the constructor would reject."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        # at protocols 0 and 1 the default would rebuild the tuple without
+        # calling __new__, as it would a PrimeModulus
+        return (type(self), tuple(self))
+
+
 def _prime_modulus(p: int, least: int = 2) -> PrimeModulus:
     """p as a prime of at least ``least``, the package's one rule for a
     prime argument: a ``PrimeModulus`` passes untested, anything else is

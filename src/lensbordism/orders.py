@@ -12,7 +12,7 @@ encoded; anything else raises ``Unspecified`` instead of guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .errors import EvenOrder, NoSuchGroup, Unspecified
@@ -21,11 +21,12 @@ from .numtheory import _factorize, _prime_modulus
 _MAX_INT = 2**63 - 1
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
-    """Finite direct sum of cyclic groups; factor 0 marks an infinite summand."""
+class AbelianGroup(namedtuple("AbelianGroup", "factors")):
+    """Finite direct sum of cyclic groups; factor 0 marks an infinite summand.
 
-    factors: tuple[int, ...]
+    Fields: ``factors``, a tuple of ints."""
+
+    __slots__ = ()
 
     @property
     def order(self) -> int | None:
@@ -51,11 +52,12 @@ Z = AbelianGroup((0,))
 Z2 = AbelianGroup((2,))
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Coefficient groups of the bordism spectral sequence, by degree."""
+class CoefficientTable(namedtuple("CoefficientTable", "groups")):
+    """Coefficient groups of the bordism spectral sequence, by degree.
 
-    groups: tuple[AbelianGroup, ...]
+    Fields: ``groups``, a tuple of ``AbelianGroup``s."""
+
+    __slots__ = ()
 
     def group(self, degree: int) -> AbelianGroup:
         return self.groups[degree]
@@ -84,12 +86,12 @@ def _reduced_homology_order(r: int, n: int, coeff: AbelianGroup) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class E2Diagonal:
-    """Orders on the total-degree-5 diagonal of the collapsed second page."""
+class E2Diagonal(namedtuple("E2Diagonal", "n terms")):
+    """Orders on the total-degree-5 diagonal of the collapsed second page.
 
-    n: int
-    terms: tuple[tuple[int, int, int], ...]
+    Fields: ``n``, an int; ``terms``, a tuple of (r, s, order) int tuples."""
+
+    __slots__ = ()
 
     @property
     def product(self) -> int:

@@ -638,12 +638,21 @@ class TestFailurePolicy:
         assert "DISAGREE" in captured.out
 
 
-def test_import_does_not_load_process_pool():
+def test_startup_loads_only_what_every_run_needs():
+    """Importing the CLI and building its parser, as every run does, loads
+    no ``dataclasses`` or ``inspect`` (the records are named tuples), no
+    ``csv`` and no process pool (each is imported where it is used).  Only
+    the modules the import adds count, not those ``site`` loaded before."""
     code = (
-        "import sys, lensbordism.cli; "
-        "sys.exit('concurrent.futures.process' in sys.modules)"
+        "import sys; before = set(sys.modules); "
+        "import lensbordism.cli as c; c.build_parser(); "
+        "print(*sorted(set(sys.modules) - before))"
     )
-    assert python("-c", code).returncode == 0
+    proc = python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "lensbordism.cli" in added
+    assert not added & {"dataclasses", "inspect", "csv", "concurrent.futures"}
 
 
 def test_memory_error_is_one_error_line(capsys, monkeypatch):
