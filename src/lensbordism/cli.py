@@ -35,8 +35,8 @@ from .errors import LensBordismError, SearchExhausted, Unspecified
 from .groups import _d_pk3, _presentations, _theorem1_order
 from .lens import (
     LensSpace,
+    _generator_pair,
     canonical_form,
-    find_generator_pair,
     independent,
     independent_bruteforce,
     pontrjagin_pair,
@@ -60,10 +60,11 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a write to a closed 
 
 # Largest accepted `lemma5 --max` and `groups --max-order`.  The sieve and
 # the smallest-prime-factor table grow about linearly with them (reports and
-# presentations are streamed); at these bounds a JSON run peaked at 23.4-23.6
-# and 20.5 MB and took 4.2-4.7 and 0.8-1.4 s on a shared 2-core machine (4 and
-# 5 runs, Python 3.11), against 4.4-5.8 and 2.0-2.8 s in interleaved runs
-# without the compiled entry templates and the pruned ``groups`` walk.
+# presentations are streamed); at these bounds a JSON run peaked at 22.5 and
+# 20.5 MB and took 2.3-4.0 and 0.8-1.4 s on a shared 2-core machine (10 runs
+# of ``lemma5 --jobs 1`` and 5 of ``groups``, Python 3.11), against 2.9-4.3 s
+# for ``lemma5`` in interleaved runs of a search that built two ``LensSpace``s
+# per prime.
 LEMMA5_MAX = 10**6
 GROUPS_MAX_ORDER = 10**5
 # Largest `--p` accepted with `independent --brute`: the oracle is O(p) time
@@ -310,10 +311,15 @@ def _triple(text: str) -> tuple[int, int, int]:
 
 
 def _lemma5_worker(task: tuple[int, int]) -> dict:
-    """Verify one sieved prime; returns {'ok', 'p', 'entry'/'reason', ...}."""
+    """Verify one sieved prime; returns {'ok', 'p', 'entry'/'reason', ...}.
+
+    The search runs on ints (``_generator_pair``); the sieve has already
+    tested p, so it is trusted here, and ``LensSpace``s are built only for
+    the oracle, which checks the pairs of the weights found."""
     p, brute_below = task
+    pm = PrimeModulus._trusted(p)
     try:
-        result = find_generator_pair(PrimeModulus._trusted(p))
+        stage, q, r, certificate, weights_a, weights_b, _ = _generator_pair(pm)
     except SearchExhausted as exc:
         return {
             "ok": False,
@@ -323,17 +329,17 @@ def _lemma5_worker(task: tuple[int, int]) -> dict:
         }
     entry = {
         "p": p,
-        "weights_a": list(result.first.weights),
-        "weights_b": list(result.second.weights),
-        "Q": result.q,
-        "R": result.r,
-        "stage": result.stage,
-        "certificate": result.certificate,
+        "weights_a": list(weights_a),
+        "weights_b": list(weights_b),
+        "Q": q,
+        "R": r,
+        "stage": stage,
+        "certificate": certificate,
         "brute_checked": p <= brute_below,
     }
     if entry["brute_checked"]:
-        pair_a = pontrjagin_pair(result.first)
-        pair_b = pontrjagin_pair(result.second)
+        pair_a = pontrjagin_pair(LensSpace(pm, weights_a))
+        pair_b = pontrjagin_pair(LensSpace(pm, weights_b))
         if not (independent(pair_a, pair_b) and independent_bruteforce(pair_a, pair_b)):
             return {
                 "ok": False,

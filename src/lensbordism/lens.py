@@ -20,7 +20,9 @@ R * k**2 = Q over units, where Q and R are the two beta1/beta0 slopes.
 
 ``find_generator_pair`` runs the staged search that produces, for every prime
 p >= 5, two lens spaces with independent pairs, together with a trace of the
-candidates it tried.
+candidates it tried.  The search itself runs on ints, on a p checked once:
+it yields weight triples, and the checked ``LensSpace`` records and the
+result are built once, at that public edge.
 """
 
 from __future__ import annotations
@@ -268,6 +270,37 @@ class GeneratorPairResult(
         return f"{type(self).__name__}({shown})"
 
 
+def _candidates(p: int):
+    """The (stage, Q, R) candidates of the staged search, in the order tried."""
+    yield "i", 3, 6
+    yield "ii", 3, 2
+    for j in range(1, p):
+        q = (1 + j * j) % p
+        yield ("iii" if q else "iv"), q, 2
+
+
+def _generator_pair(p: PrimeModulus) -> tuple:
+    """The staged search of ``find_generator_pair`` on plain ints, for a p
+    already checked to be a prime >= 5.
+
+    Returns (stage, q, r, certificate, weights_a, weights_b, proof_trace),
+    the fields of a ``GeneratorPairResult`` with the two weight triples in
+    place of its lens spaces, or raises ``SearchExhausted`` with the trace.
+    """
+    trace = []
+    for stage, q, r in _candidates(p):
+        ok, tested = _dependence_free(p, q, r)
+        wa = wb = None
+        if ok:
+            wa = sum_three_unit_squares(q % p, p)
+            wb = sum_three_unit_squares(r % p, p)
+        realized = wa is not None and wb is not None
+        trace.append(TraceStep(stage, q, r, tested, ok, realized))
+        if realized:
+            return stage, q, r, tested, wa, wb, tuple(trace)
+    raise SearchExhausted(p, trace)
+
+
 def find_generator_pair(p: int) -> GeneratorPairResult:
     """Two lens spaces mod p whose invariant pairs are independent.
 
@@ -284,42 +317,13 @@ def find_generator_pair(p: int) -> GeneratorPairResult:
     y**2 - x**2 = 1 shows that at least (p - (-1/p))/2 values of j in
     [1, p-1] make 1 + j**2 a non-residue.  p must be a prime >= 5
     (``_prime_modulus``).
+
+    This is the search's public edge: p is checked here, once, the search
+    itself (``_generator_pair``) runs on ints, and the two ``LensSpace``s
+    and the result are built here from the triples it found.
     """
     p = _prime_modulus(p, 5)
-    trace: list[TraceStep] = []
-
-    def attempt(stage: str, qv: int, rv: int) -> GeneratorPairResult | None:
-        ok, tested = _dependence_free(p, qv, rv)
-        if not ok:
-            trace.append(TraceStep(stage, qv, rv, tested, False))
-            return None
-        wa = sum_three_unit_squares(qv % p, p)
-        wb = sum_three_unit_squares(rv % p, p)
-        if wa is None or wb is None:
-            trace.append(TraceStep(stage, qv, rv, tested, True, realized=False))
-            return None
-        trace.append(TraceStep(stage, qv, rv, tested, True, realized=True))
-        return GeneratorPairResult(
-            p=p,
-            first=LensSpace(p, wa),
-            second=LensSpace(p, wb),
-            q=qv,
-            r=rv,
-            stage=stage,
-            certificate=tested,
-            proof_trace=tuple(trace),
-        )
-
-    result = attempt("i", 3, 6)
-    if result is not None:
-        return result
-    result = attempt("ii", 3, 2)
-    if result is not None:
-        return result
-    inv2 = (p + 1) // 2
-    for j in range(1, p):
-        qv = (inv2 + inv2 + j * j) % p
-        result = attempt("iv" if qv == 0 else "iii", qv, 2)
-        if result is not None:
-            return result
-    raise SearchExhausted(p, trace)
+    stage, q, r, certificate, wa, wb, trace = _generator_pair(p)
+    return GeneratorPairResult(
+        p, LensSpace(p, wa), LensSpace(p, wb), q, r, stage, certificate, trace
+    )

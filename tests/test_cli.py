@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from lensbordism import __version__, cli, groups, orders
 from lensbordism.cli import Report, _json, _lemma5_workers, _write_report, main
 from lensbordism.groups import MetacyclicParams, sylow_structure
+from lensbordism.lens import LensSpace
 from lensbordism.numtheory import PrimeModulus
 from test_groups import _scan_periodic_odd
 
@@ -450,6 +451,28 @@ def test_lemma5_sends_plain_int_primes_to_its_workers(capsys, monkeypatch):
     assert all(type(p) is int for p in sent)
 
 
+@pytest.mark.parametrize("flags, built", [((), 18), (("--brute-below", "0"), 0)])
+def test_lemma5_builds_lens_spaces_only_for_the_oracle(
+    capsys, monkeypatch, is_prime_calls, flags, built
+):
+    """The search runs on ints, so a ``LensSpace`` is built only for each
+    of the 9 brute-checked primes of [5, 200] (the default --brute-below is
+    31), two each, and from the sieved prime as it is: no prime is tested
+    again."""
+    moduli = []
+    real = LensSpace.__new__
+
+    def counting(cls, p, weights):
+        moduli.append(p)
+        return real(cls, p, weights)
+
+    monkeypatch.setattr(LensSpace, "__new__", counting)
+    assert run(capsys, "lemma5", "--min", "5", "--max", "200", *flags)[0] == 0
+    assert len(moduli) == built
+    assert all(type(p) is PrimeModulus for p in moduli)
+    assert is_prime_calls == []
+
+
 class TestOrdersD3:
     def test_seven(self, capsys):
         code, out, _ = run(capsys, "orders-d3", "--p", "7", "--k", "1")
@@ -610,14 +633,14 @@ class TestFailurePolicy:
         import lensbordism.cli as cli_mod
         from lensbordism.errors import SearchExhausted
 
-        real = cli_mod.find_generator_pair
+        real = cli_mod._generator_pair
 
         def fake(pm):
             if int(pm) == 7:
                 raise SearchExhausted(7, [])
             return real(pm)
 
-        monkeypatch.setattr(cli_mod, "find_generator_pair", fake)
+        monkeypatch.setattr(cli_mod, "_generator_pair", fake)
         code = cli_mod.main(["lemma5", "--min", "5", "--max", "13", "--format", "json"])
         captured = capsys.readouterr()
         assert code == 1
@@ -877,7 +900,7 @@ class TestOutputErrors:
 def test_interrupt_mid_report(capsys, monkeypatch, tmp_path):
     argv = ("lemma5", "--min", "5", "--max", "100", "--format", "json")
     full = run(capsys, *argv)[1]
-    real = cli.find_generator_pair
+    real = cli._generator_pair
     calls = []
 
     def interrupted_at_third_prime(pm):
@@ -886,7 +909,7 @@ def test_interrupt_mid_report(capsys, monkeypatch, tmp_path):
             raise KeyboardInterrupt
         return real(pm)
 
-    monkeypatch.setattr(cli, "find_generator_pair", interrupted_at_third_prime)
+    monkeypatch.setattr(cli, "_generator_pair", interrupted_at_third_prime)
     fresh, existing = tmp_path / "new.json", tmp_path / "old.json"
     existing.write_text("an earlier report\n", encoding="utf-8")
     for path in (fresh, existing):

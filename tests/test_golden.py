@@ -62,7 +62,7 @@ def _exhausted_at_7(real):
 
 # Cases that reach the failure paths (exit 1) by replacing one library call.
 PATCHES = {
-    "lemma5-exhausted": ("find_generator_pair", lambda: _exhausted_at_7(cli.find_generator_pair)),
+    "lemma5-exhausted": ("_generator_pair", lambda: _exhausted_at_7(cli._generator_pair)),
     "lemma5-disagree": ("independent_bruteforce", lambda: lambda a, b: False),
     "independent-disagree": ("independent_bruteforce", lambda: lambda a, b: False),
 }

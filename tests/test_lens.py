@@ -398,7 +398,38 @@ class TestFindGeneratorPair:
                 expected = "ii"
             else:
                 expected = "iii"
-            assert find_generator_pair(pm).stage == expected, p
+            res = find_generator_pair(pm)
+            assert res.stage == expected, p
+            # every step fails but the last, which is independent and realized
+            *failed, last = res.proof_trace
+            assert all(not (s.independent_ok or s.realized) for s in failed), p
+            assert last.independent_ok and last.realized, p
+
+    @pytest.mark.parametrize(
+        "p, trace",
+        [
+            (73, [
+                ("i", 3, 6, 37, False, False),
+                ("ii", 3, 2, 38, False, False),
+                ("iii", 2, 2, 1, False, False),
+                ("iii", 5, 2, 39, True, True),
+            ]),
+            (241, [
+                ("i", 3, 6, 121, False, False),
+                ("ii", 3, 2, 122, False, False),
+                ("iii", 2, 2, 1, False, False),
+                ("iii", 5, 2, 123, False, False),
+                ("iii", 10, 2, 5, False, False),
+                ("iii", 17, 2, 129, True, True),
+            ]),
+        ],
+    )
+    def test_stage_iii_trace(self, p, trace):
+        # the stage order, the labels, the certificates and the realized
+        # flag of every candidate tried, as the search has always made them
+        res = find_generator_pair(PrimeModulus(p))
+        assert [tuple(step) for step in res.proof_trace] == trace
+        assert (res.stage, res.q, res.r, res.certificate) == trace[-1][:4]
 
     def test_small_p_rejected(self):
         with pytest.raises(ValueError):
