@@ -22,13 +22,13 @@ ord(r) once per subgroup.  Only the m that are products of exact prime
 powers of the order m*n can list anything, and only of those p**e with
 gcd(order / p**e, p-1) > 1: n divides order / p**e, so otherwise d is 1.
 The cost: a smallest-prime-factor table of max_order + 1 entries per
-call, one factorisation from it per odd order and one per
-``_element_of_order`` call, and work proportional to the admissible r
-built; few (m, n) left after the pruning have no r (6 of the 473 up to
-order 3,000, 477 of the 23,953 up to 10**5).  The walk yields plain ints,
-valid by construction; ``enumerate_periodic_odd``, the public edge, checks
-each as a ``MetacyclicParams``, and the tests check the walk against a
-scan.
+call, one factorisation from it per odd order (whose primes also serve
+each ``_element_of_order`` call, as the primes of d divide the order), and
+work proportional to the admissible r built; few (m, n) left after the
+pruning have no r (6 of the 473 up to order 3,000, 477 of the 23,953 up
+to 10**5).  The walk yields plain ints, valid by construction;
+``enumerate_periodic_odd``, the public edge, checks each as a
+``MetacyclicParams``, and the tests check the walk against a scan.
 
 One presentation per isomorphism class: for m > 1, [y, x] = x**(r-1)
 generates <x> and G/<x> is cyclic, so the commutator subgroup G' is <x>
@@ -169,16 +169,18 @@ def _powers(x: int, m: int) -> list[int]:
     return powers
 
 
-def _admissible_r(prime_powers: list[tuple[int, int]], n: int, spf: list[int]) -> list[int]:
+def _admissible_r(prime_powers: list[tuple[int, int]], n: int, order_powers: list) -> list[int]:
     """All r in [0, m) with gcd((r-1)*n, m) = 1 and r**n = 1 mod m, ascending,
     for m with the exact prime powers ``prime_powers`` (see the module
-    docstring; [0] for m = 1).  ``spf`` must cover n."""
+    docstring; [0] for m = 1).  ``order_powers`` are the (prime, power)
+    pairs of a multiple of n, such as the order m*n: each d = gcd(n, p-1)
+    divides n, so the primes of d are among them."""
     roots, modulus = [0], 1
     for p, q in prime_powers:
         d = gcd(n, p - 1)
         if n % p == 0 or d == 1:
             return []
-        h = _element_of_order(p, q, d, [f for f, _ in _prime_powers(d, spf)])
+        h = _element_of_order(p, q, d, [f for f, _ in order_powers if d % f == 0])
         local = _powers(h, q)
         inv = pow(modulus, -1, q)
         roots = [a + modulus * ((b - a) * inv % q) for a in roots for b in local]
@@ -216,7 +218,7 @@ def _presentations(max_order: int):
             for m, factors in sorted(divisors):
                 n = order // m
                 marked: set[int] = set()
-                for r in _admissible_r(factors, n, spf):
+                for r in _admissible_r(factors, n, sylow):
                     if r not in marked:
                         yield m, n, r, sylow
                         powers = _powers(r, m)
