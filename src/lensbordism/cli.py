@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import marshal
 import os
 import sys
 
@@ -76,9 +77,9 @@ BRUTE_MAX_P = 10**6
 # runs on every prime up to the bound, about N**2 / ln N steps in all, and
 # [5, 10000] took 1.13-1.17 s on the same machine.
 BRUTE_BELOW_MAX = 10**4
-# Largest `lemma5 --jobs`, per core: the process pool starts all its workers
-# at once, and 4 per core still admits the 3 workers that the determinism
-# check runs on a one-core machine.
+# Largest `lemma5 --jobs`, per core: all the workers are forked at once, and
+# 4 per core still admits the 3 workers that the determinism check runs on a
+# one-core machine.
 JOBS_PER_CORE = 4
 
 
@@ -231,9 +232,9 @@ def _write_report(report: Report, command: str, fmt: str, out) -> None:
             for line in report.tail:
                 write(line + "\n")
     finally:
-        # Entries cut short are closed here, so a process pool behind them
-        # shuts down in this thread: left to the garbage collector, they
-        # could be closed in the pool's own thread, which cannot join itself.
+        # Entries cut short are closed here, so the forked workers behind
+        # them are waited for before the report ends, not whenever the
+        # garbage collector gets to them.
         if hasattr(report.entries, "close"):
             report.entries.close()
         sink.flush()  # what was written so far, also when cut short
@@ -266,13 +267,12 @@ def _triple(text: str) -> tuple[int, int, int]:
 # lemma5: per-prime generator-pair verification over a range
 
 
-def _lemma5_worker(task: tuple[int, int]) -> dict:
+def _lemma5_worker(p: int, brute_below: int) -> dict:
     """Verify one sieved prime; returns {'ok', 'p', 'entry'/'reason', ...}.
 
     The search runs on ints (``_generator_pair``); the sieve has already
     tested p, so it is trusted here, and ``LensSpace``s are built only for
     the oracle, which checks the pairs of the weights found."""
-    p, brute_below = task
     pm = PrimeModulus._trusted(p)
     try:
         stage, q, r, certificate, weights_a, weights_b, _ = _generator_pair(pm)
@@ -311,28 +311,100 @@ def _lemma5_workers(requested: int, tasks: int, cpus: int) -> int:
 
     ``requested`` 0 means one per core (``cpus``); any count is capped at the
     number of tasks; a count of 1 runs in this process.  More workers
-    than cores are allowed on purpose, so the pool path can run anywhere;
+    than cores are allowed on purpose, so the forked path can run anywhere;
     ``cmd_lemma5`` rejects more than ``JOBS_PER_CORE`` per core beforehand.
+    Every worker is forked, also one that gets no block of primes.
     """
     return max(1, min(requested or cpus, tasks))
 
 
-def _lemma5_results(primes: list[int], brute_below: int, jobs: int):
-    """``_lemma5_worker``'s result for each prime, in order, as the workers
-    return them."""
-    tasks = ((p, brute_below) for p in primes)
-    if jobs == 1:
-        yield from map(_lemma5_worker, tasks)
-        return
-    # imported here so single-process runs do not pay for it
-    from concurrent.futures import ProcessPoolExecutor
+# Primes per block of a forked ``lemma5`` run.  The size does not depend on
+# the prime count, so the blocks can be cut before the whole range is known.
+_LEMMA5_BLOCK = 256
 
-    # The parent holds a chunk's results until it has written them, so a
-    # chunk is at most 1,000 primes: at --max 10**6 that took peak RSS from
-    # 44-48 to 34 MB and let the parent start writing sooner.
-    chunk = max(1, min(len(primes) // (jobs * 4), 1000))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(_lemma5_worker, tasks, chunksize=chunk)
+
+def _lemma5_child(
+    primes: list[int], brute_below: int, jobs: int, worker: int, fd: int, inherited: list[int]
+) -> None:
+    """Worker ``worker`` of ``jobs`` in a forked child: ``_lemma5_worker`` on
+    each prime of blocks worker, worker + jobs, ..., each block's results
+    written to the pipe ``fd`` as ``marshal`` bytes behind an 8-byte length.
+
+    It first closes the read ends it ``inherited``.  It leaves only through
+    ``os._exit``, so it never returns into the parent's code and never
+    flushes what the parent had buffered: report parts, stdout or an
+    ``--out`` file.  A reader that has gone or an interrupt ends it quietly;
+    any other exception prints its traceback first.
+    """
+    code = 1
+    try:
+        for other in inherited:
+            os.close(other)
+        out = open(fd, "wb")
+        for start in range(worker * _LEMMA5_BLOCK, len(primes), jobs * _LEMMA5_BLOCK):
+            block = primes[start:start + _LEMMA5_BLOCK]
+            data = marshal.dumps([_lemma5_worker(p, brute_below) for p in block])
+            out.write(len(data).to_bytes(8, "little"))
+            out.write(data)
+            out.flush()
+        code = 0
+    except (BrokenPipeError, KeyboardInterrupt):
+        pass
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
+def _lemma5_results(primes: list[int], brute_below: int, jobs: int):
+    """``_lemma5_worker``'s result for each prime, in order.
+
+    Above one job, where ``os.fork`` exists, ``jobs`` forked children
+    (``_lemma5_child``) share the primes: block k of ``_LEMMA5_BLOCK``
+    primes goes to worker k mod jobs, each worker writes to its own pipe,
+    and the blocks are read back in order k = 0, 1, 2, ...  A full pipe
+    blocks its writer, so no worker runs more than about one block ahead of
+    the reader.  A worker that ends before its block is read raises
+    ``RuntimeError``.  However the results end, the read ends are closed and
+    every child is waited for.
+    """
+    if jobs == 1 or not hasattr(os, "fork"):
+        for p in primes:
+            yield _lemma5_worker(p, brute_below)
+        return
+    readers, pids = [], []
+    try:
+        for worker in range(jobs):
+            r, w = os.pipe()
+            readers.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _lemma5_child(
+                        primes, brute_below, jobs, worker, w, [f.fileno() for f in readers]
+                    )
+            finally:
+                os.close(w)
+            pids.append(pid)
+        for start in range(0, len(primes), _LEMMA5_BLOCK):
+            worker = start // _LEMMA5_BLOCK % jobs
+            head = readers[worker].read(8)
+            size = int.from_bytes(head, "little")
+            data = readers[worker].read(size)
+            if len(head) < 8 or len(data) < size:
+                raise RuntimeError(
+                    f"lemma5 worker {worker} ended before returning its block "
+                    f"from p={primes[start]}"
+                )
+            yield from marshal.loads(data)
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def _lemma5_text(e: dict) -> str:

@@ -306,7 +306,7 @@ def test_criterion_9_determinism(tmp_path, capsys):
     lemma_args = ("lemma5", "--min", "5", "--max", "200", "--format", "json")
     first = run_to_file("a.json", *lemma_args)
     second = run_to_file("b.json", *lemma_args)
-    # at least 3 workers so the pool path runs even on a single-core box
+    # at least 3 workers so the forked path runs even on a single-core box
     max_jobs = str(max(os.cpu_count() or 1, 3))
     parallel = run_to_file("c.json", *lemma_args, "--jobs", max_jobs)
     groups_args = ("groups", "--max-order", "100", "--format", "csv")

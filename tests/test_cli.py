@@ -1,10 +1,10 @@
 """Tests for the command line front end."""
 
-import concurrent.futures
 import io
 import json
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import time
@@ -143,11 +143,11 @@ class TestLemma5:
 
     def test_jobs_above_bound_is_usage_error_before_any_work(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("sieve or pool started")
+            raise AssertionError("sieve or worker started")
 
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(cli, "primes_in_range", refuse)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(cli.os, "fork", refuse)
         for jobs in ("9", "100000"):
             code, out, err = run(
                 capsys, "lemma5", "--min", "5", "--max", "1000000", "--jobs", jobs
@@ -158,7 +158,7 @@ class TestLemma5:
         # the determinism check's max(cpu_count, 3); each reaches the sieve
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
         for jobs in ("1", "2", "3", "4"):
-            with pytest.raises(AssertionError, match="sieve or pool started"):
+            with pytest.raises(AssertionError, match="sieve or worker started"):
                 main(["lemma5", "--min", "5", "--max", "13", "--jobs", jobs])
 
     def test_max_above_cap_is_input_error(self, capsys, monkeypatch):
@@ -207,7 +207,7 @@ class TestLemma5:
         assert _lemma5_workers(0, 100, 8) == 8
         assert _lemma5_workers(0, 3, 8) == 3
         assert _lemma5_workers(10**6, 5, 2) == 5
-        # more workers than cores stay allowed, so the pool path runs anywhere
+        # more workers than cores stay allowed, so the forked path runs anywhere
         assert _lemma5_workers(3, 100, 1) == 3
         assert _lemma5_workers(4, 1, 2) == 1
         assert _lemma5_workers(4, 0, 2) == 1
@@ -437,8 +437,9 @@ def test_reports_hold_plain_ints(args):
 
 
 def test_lemma5_sends_plain_int_primes_to_its_workers(capsys, monkeypatch):
-    """A ``PrimeModulus`` is tested again when it is unpickled, so the primes
-    that cross the process pool are plain ints."""
+    """The forked workers inherit the primes and return each one in its
+    result through ``marshal``, which writes plain ints only and refuses a
+    ``PrimeModulus``."""
     sent = []
     real = cli._lemma5_results
 
@@ -665,8 +666,9 @@ class TestFailurePolicy:
 def test_startup_loads_only_what_every_run_needs():
     """Importing the CLI and building its parser, as every run does, loads
     no ``dataclasses`` or ``inspect`` (the records are named tuples), no
-    ``csv`` and no process pool (each is imported where it is used).  Only
-    the modules the import adds count, not those ``site`` loaded before."""
+    ``csv`` (imported where it is used) and no process pool (the ``lemma5``
+    workers are forked).  Only the modules the import adds count, not those
+    ``site`` loaded before."""
     code = (
         "import sys; before = set(sys.modules); "
         "import lensbordism.cli as c; c.build_parser(); "
@@ -676,7 +678,9 @@ def test_startup_loads_only_what_every_run_needs():
     assert proc.returncode == 0, proc.stderr
     added = set(proc.stdout.split())
     assert "lensbordism.cli" in added
-    assert not added & {"dataclasses", "inspect", "csv", "concurrent.futures"}
+    assert not added & {
+        "dataclasses", "inspect", "csv", "concurrent.futures", "multiprocessing"
+    }
 
 
 def test_memory_error_is_one_error_line(capsys, monkeypatch):
@@ -763,7 +767,7 @@ def test_streamed_report_matches_json_dumps(params, entries, summary):
 def test_entry_templates_match_json_writer_over_whole_ranges(args, renderer):
     """A renderer that drifts from what the handler builds, such as a key
     renamed or moved, renders differently from ``_json``.  The renderers
-    are plain functions, so they pickle, as a process pool needs."""
+    are plain module-level functions, so they pickle."""
     ns = cli.build_parser().parse_args(args)
     report = getattr(cli, "cmd_" + ns.command)(ns)
     assert report.to_json is renderer
@@ -841,9 +845,7 @@ class TestOutputErrors:
         "argv",
         [
             ("groups", "--max-order", "30000"),
-            # from about this --max on, unless the cut-short entries are
-            # closed, the garbage collector shuts their pool down in the
-            # pool's own thread, and that prints a RuntimeError
+            # the forked workers are still at work when the reader leaves
             ("lemma5", "--min", "5", "--max", "300000", "--jobs", "2"),
         ],
     )
@@ -857,6 +859,113 @@ class TestOutputErrors:
         proc.stdout.close()
         err = proc.stderr.read()
         assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+def no_child_left() -> bool:
+    """Whether this process has no child process, running or exited."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestForkedWorkers:
+    """``lemma5 --jobs N`` forks N workers that each write to one pipe.
+    However the run ends, each worker is waited for, and none writes to the
+    report or to stderr unless it failed."""
+
+    ARGV = ("lemma5", "--min", "5", "--max", "20000", "--format", "json")
+    PARALLEL = (*ARGV, "--jobs", "2")
+
+    # Python leaves SIGINT ignored where whatever started it ignored it, as
+    # a shell does for a background job, so the CLI restores the handler
+    INTERRUPTIBLE = (
+        "import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler); "
+        "from lensbordism.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+
+    # 2003 is prime number 301 of [5, 20000], in block 1 (primes 256-511,
+    # from 1637), which worker 1 computes
+    FAILING = """
+import os, sys
+import lensbordism.cli as cli
+
+real = cli._lemma5_worker
+
+def failing(p, brute_below):
+    if p == 2003:
+        raise ZeroDivisionError("planted in a worker")
+    return real(p, brute_below)
+
+cli._lemma5_worker = failing
+try:
+    cli.main(sys.argv[1:])
+finally:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        print("no child left", file=sys.stderr)
+"""
+
+    def test_normal_end(self, capsys):
+        serial = run(capsys, *self.ARGV)
+        assert run(capsys, *self.PARALLEL) == serial
+        assert serial[0] == 0
+        assert no_child_left()
+
+    def test_without_fork_runs_in_process(self, capsys, monkeypatch):
+        serial = run(capsys, *self.ARGV)
+        monkeypatch.delattr(cli.os, "fork")
+        assert run(capsys, *self.PARALLEL) == serial
+
+    def test_closed_output(self):
+        class Closed:
+            def write(self, text):
+                raise BrokenPipeError
+
+        report = cli.cmd_lemma5(cli.build_parser().parse_args(self.PARALLEL))
+        with pytest.raises(BrokenPipeError):
+            _write_report(report, "lemma5", "json", Closed())
+        assert no_child_left()
+
+    def test_interrupt_in_the_parent(self, capsys, monkeypatch):
+        real, rendered = cli._lemma5_json, []
+
+        def interrupted(entry):
+            rendered.append(entry["p"])
+            if len(rendered) == 600:  # in block 2, so both workers have run
+                raise KeyboardInterrupt
+            return real(entry)
+
+        monkeypatch.setattr(cli, "_lemma5_json", interrupted)
+        code, _, err = run(capsys, *self.PARALLEL)
+        assert (code, err, len(rendered)) == (130, "", 600)
+        assert no_child_left()
+
+    def test_worker_failure_exits_nonzero(self):
+        proc = python("-c", self.FAILING, *self.PARALLEL)
+        assert proc.returncode == 1
+        assert "ZeroDivisionError: planted in a worker" in proc.stderr
+        assert "no child left" in proc.stderr
+        assert proc.stderr.rstrip().endswith(
+            "RuntimeError: lemma5 worker 1 ended before returning its block from p=1637"
+        )
+        # the report stops at the end of block 0, never with a summary
+        entries = json.loads(proc.stdout + "]}")["entries"]
+        assert (len(entries), entries[-1]["p"]) == (256, 1627)
+
+    def test_interrupt_to_the_process_group(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-c", self.INTERRUPTIBLE,
+             "lemma5", "--min", "5", "--max", "300000", "--jobs", "2"],
+            env=checkout_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            start_new_session=True,
+        )
+        proc.stdout.readline()  # the report has begun, so the workers are at work
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (130, b"")
 
 
 def test_interrupt_mid_report(capsys, monkeypatch, tmp_path):

@@ -105,6 +105,19 @@ def test_golden_output(case, exit_codes):
     assert code == exit_codes[case]
 
 
+@pytest.mark.parametrize(
+    "case",
+    sorted(c for c, (name, _) in CASES.items() if name in ("lemma5-exhausted", "lemma5-disagree")),
+)
+def test_failures_cross_the_worker_pipes(case, exit_codes):
+    """At ``--jobs 2`` the forked workers inherit the patch and send their
+    failure dicts, trace dicts included, back through their pipes."""
+    out, err, code = run_case(case, ("--jobs", "2"))
+    assert out == _read(GOLDEN / f"{case}.out")
+    assert err == _read(GOLDEN / f"{case}.err")
+    assert code == exit_codes[case] == 1
+
+
 def test_golden_cases_complete(exit_codes):
     files = {p.name for p in GOLDEN.iterdir()} - {"exit_codes.json"}
     assert files == {f"{case}.{s}" for case in CASES for s in ("out", "err")}
