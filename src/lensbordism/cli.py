@@ -62,11 +62,10 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a write to a closed 
 
 # Largest accepted `lemma5 --max` and `groups --max-order`.  The sieve and
 # the smallest-prime-factor table grow about linearly with them (reports and
-# presentations are streamed); at these bounds a JSON run peaked at 22.5 and
-# 20.5 MB and took 2.3-4.0 and 0.8-1.4 s on a shared 2-core machine (10 runs
-# of ``lemma5 --jobs 1`` and 5 of ``groups``, Python 3.11), against 2.9-4.3 s
-# for ``lemma5`` in interleaved runs of a search that built two ``LensSpace``s
-# per prime.
+# presentations are streamed); at these bounds a JSON run peaked at 20.4-20.6
+# and 16.7-16.8 MB and took 2.3-3.3 s (``lemma5 --jobs 1``), 1.4-1.6 s
+# (``--jobs 2``) and 0.7-1.1 s (``groups``) on a shared 2-core machine
+# (6 runs of ``lemma5`` at each job count and 3 of ``groups``, Python 3.11).
 LEMMA5_MAX = 10**6
 GROUPS_MAX_ORDER = 10**5
 # Largest `--p` accepted with `independent --brute`: the oracle is O(p) time
@@ -267,13 +266,15 @@ def _triple(text: str) -> tuple[int, int, int]:
 # lemma5: per-prime generator-pair verification over a range
 
 
-def _lemma5_worker(p: int, brute_below: int) -> dict:
-    """Verify one sieved prime; returns {'ok', 'p', 'entry'/'reason', ...}.
+def _lemma5_worker(pm: PrimeModulus, brute_below: int) -> dict:
+    """Verify one sieved prime; returns its entry, or a failure record with
+    ``ok`` false and a ``reason``.
 
     The search runs on ints (``_generator_pair``); the sieve has already
-    tested p, so it is trusted here, and ``LensSpace``s are built only for
-    the oracle, which checks the pairs of the weights found."""
-    pm = PrimeModulus._trusted(p)
+    tested ``pm``, and ``LensSpace``s are built from it only for the oracle,
+    which checks the pairs of the weights found.  The records hold p as a
+    plain int, as ``marshal`` needs."""
+    p = int(pm)
     try:
         stage, q, r, certificate, weights_a, weights_b, _ = _generator_pair(pm)
     except SearchExhausted as exc:
@@ -303,7 +304,7 @@ def _lemma5_worker(p: int, brute_below: int) -> dict:
                 "reason": "oracle disagreement",
                 "entry": entry,
             }
-    return {"ok": True, "p": p, "entry": entry}
+    return entry
 
 
 def _lemma5_workers(requested: int, tasks: int, cpus: int) -> int:
@@ -451,16 +452,16 @@ def cmd_lemma5(ns) -> Report:
             f"--jobs must be at most {JOBS_PER_CORE * cpus} "
             f"({JOBS_PER_CORE} per core), got {ns.jobs}"
         )
-    primes = [int(p) for p in primes_in_range(ns.min, ns.max)]
+    primes = primes_in_range(ns.min, ns.max)
     jobs = _lemma5_workers(ns.jobs, len(primes), cpus)
 
     def entries():
         failures = []
         for result in _lemma5_results(primes, ns.brute_below, jobs):
-            if result["ok"]:
-                yield result["entry"]
-            else:
+            if "reason" in result:
                 failures.append(result)
+            else:
+                yield result
         report.summary = {"primes_checked": len(primes), "failures": len(failures)}
         report.tail = [f"primes_checked={len(primes)} failures={len(failures)}"]
         for failure in failures:

@@ -21,12 +21,12 @@ subgroup <r> is kept and the generators of <r> are marked, so the work is
 ord(r) once per subgroup.  Only the m that are products of exact prime
 powers of the order m*n can list anything, and only of those p**e with
 gcd(order / p**e, p-1) > 1: n divides order / p**e, so otherwise d is 1.
-The cost: a smallest-prime-factor table of max_order + 1 entries per
-call, one factorisation from it per odd order (whose primes also serve
-each ``_element_of_order`` call, as the primes of d divide the order), and
-work proportional to the admissible r built; few (m, n) left after the
-pruning have no r (6 of the 473 up to order 3,000, 477 of the 23,953 up
-to 10**5).  The walk yields plain ints, valid by construction;
+The cost: a smallest-prime-factor table per call, a flat array of
+max_order + 1 machine ints filled by slices; one factorisation from it per
+odd order (whose primes also serve each ``_element_of_order`` call, as the
+primes of d divide the order); and work proportional to the admissible r
+built; few (m, n) left after the pruning have no r (6 of the 473 up to
+order 3,000, 477 of the 23,953 up to 10**5).  The walk yields plain ints, valid by construction;
 ``enumerate_periodic_odd``, the public edge, checks each as a
 ``MetacyclicParams``, and the tests check the walk against a scan.
 
@@ -136,18 +136,22 @@ def _d_pk3(p: int, k: int) -> tuple[int, int, int]:
     return m, 3, min(_powers(_element_of_order(p, m, 3, [3]), m))
 
 
-def _smallest_prime_factors(limit: int) -> list[int]:
-    """spf[k] is the least prime factor of k, for 2 <= k <= limit."""
-    spf = list(range(limit + 1))
-    for q in range(2, isqrt(limit) + 1):
-        if spf[q] == q:
-            for k in range(q * q, limit + 1, q):
-                if spf[k] == k:
-                    spf[k] = q
+def _smallest_prime_factors(limit: int):
+    """spf[k] is the least prime factor of k, for 2 <= k <= limit, in one
+    flat ``array`` of machine ints.
+
+    Each q from isqrt(limit) down to 2 overwrites all its multiples from
+    q**2 by slice, so the last q written over a composite k is the least q
+    with q | k and q**2 <= k: the least prime factor of k."""
+    from array import array
+
+    spf = array("l", range(limit + 1))
+    for q in range(isqrt(limit), 1, -1):
+        spf[q * q::q] = array("l", [q]) * len(range(q * q, limit + 1, q))
     return spf
 
 
-def _prime_powers(k: int, spf: list[int]) -> list[tuple[int, int]]:
+def _prime_powers(k: int, spf) -> list[tuple[int, int]]:
     """(p, p**e) for each prime power p**e exactly dividing k, p ascending."""
     out = []
     while k > 1:

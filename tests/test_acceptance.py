@@ -303,12 +303,16 @@ def test_criterion_9_determinism(tmp_path, capsys):
         assert code == 0
         return path.read_bytes()
 
-    lemma_args = ("lemma5", "--min", "5", "--max", "200", "--format", "json")
+    # at least 3 workers so the forked path runs even on a single-core box,
+    # and at least one block of 256 primes for each, so every worker computes
+    # ([5, 20000] holds 2,260 primes, 9 blocks)
+    max_jobs = max(os.cpu_count() or 1, 3)
+    hi = max(20000, 4096 * max_jobs)
+    assert len(_sieve_primes(5, hi)) >= 256 * max_jobs
+    lemma_args = ("lemma5", "--min", "5", "--max", str(hi), "--format", "json")
     first = run_to_file("a.json", *lemma_args)
     second = run_to_file("b.json", *lemma_args)
-    # at least 3 workers so the forked path runs even on a single-core box
-    max_jobs = str(max(os.cpu_count() or 1, 3))
-    parallel = run_to_file("c.json", *lemma_args, "--jobs", max_jobs)
+    parallel = run_to_file("c.json", *lemma_args, "--jobs", str(max_jobs))
     groups_args = ("groups", "--max-order", "100", "--format", "csv")
     g1 = run_to_file("g1.csv", *groups_args)
     g2 = run_to_file("g2.csv", *groups_args)

@@ -123,13 +123,15 @@ class TestLemma5:
         assert path.read_text(encoding="utf-8") == out
 
     def test_parallel_output_identical(self, capsys):
+        # [5, 20000] holds 2,260 primes, 9 blocks, so each of the 4 workers
+        # computes at least one
         code, serial, _ = run(
-            capsys, "lemma5", "--min", "5", "--max", "200", "--format", "json"
+            capsys, "lemma5", "--min", "5", "--max", "20000", "--format", "json"
         )
         assert code == 0
         code, parallel, _ = run(
             capsys,
-            "lemma5", "--min", "5", "--max", "200",
+            "lemma5", "--min", "5", "--max", "20000",
             "--format", "json", "--jobs", "4",
         )
         assert code == 0
@@ -436,21 +438,29 @@ def test_reports_hold_plain_ints(args):
     assert prime_moduli([report.params, entries, report.summary]) == []
 
 
-def test_lemma5_sends_plain_int_primes_to_its_workers(capsys, monkeypatch):
-    """The forked workers inherit the primes and return each one in its
-    result through ``marshal``, which writes plain ints only and refuses a
-    ``PrimeModulus``."""
-    sent = []
-    real = cli._lemma5_results
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_lemma5_hands_the_sieved_primes_to_its_workers(monkeypatch, jobs):
+    """The primes reach ``_lemma5_results`` as the very list that
+    ``primes_in_range`` returned, not a copy; the forked workers inherit it,
+    and each entry holds p as a plain int, which ``marshal`` writes."""
+    sieved, sent = [], []
+    real_sieve, real_results = cli.primes_in_range, cli._lemma5_results
+
+    def sieve(lo, hi):
+        sieved.append(real_sieve(lo, hi))
+        return sieved[-1]
 
     def recording(primes, brute_below, jobs):
-        sent.extend(primes)
-        return real(primes, brute_below, jobs)
+        sent.append(primes)
+        return real_results(primes, brute_below, jobs)
 
+    monkeypatch.setattr(cli, "primes_in_range", sieve)
     monkeypatch.setattr(cli, "_lemma5_results", recording)
-    assert run(capsys, "lemma5", "--min", "5", "--max", "40")[0] == 0
-    assert sent == [5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-    assert all(type(p) is int for p in sent)
+    ns = cli.build_parser().parse_args(("lemma5", "--min", "5", "--max", "40", "--jobs", jobs))
+    entries = list(cli.cmd_lemma5(ns).entries)
+    assert len(sent) == 1 and sent[0] is sieved[0]
+    assert [e["p"] for e in entries] == sent[0] == [5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    assert all(type(e["p"]) is int for e in entries)
 
 
 @pytest.mark.parametrize("flags, built", [((), 18), (("--brute-below", "0"), 0)])
@@ -851,14 +861,14 @@ class TestOutputErrors:
     )
     def test_closed_pipe(self, argv, flags, monkeypatch):
         monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, *flags, "-m", "lensbordism", *argv], env=checkout_env(),
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        )
-        proc.stdout.readline()  # what ``| head -1`` reads before it exits
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert (proc.wait(timeout=60), err) == (141, b"")
+        ) as proc:
+            proc.stdout.readline()  # what ``| head -1`` reads before it exits
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 def no_child_left() -> bool:

@@ -22,7 +22,7 @@ from lensbordism.groups import (
     theorem1_applies,
     validate_metacyclic,
 )
-from lensbordism.numtheory import _element_of_order, is_prime, primes_in_range
+from lensbordism.numtheory import _element_of_order, _factorize, is_prime, primes_in_range
 
 
 def _scan_periodic_odd(max_order):
@@ -331,6 +331,13 @@ class TestEnumeratePeriodicOdd:
         full = _scan_periodic_odd(200)
         for bound in range(1, 201):
             assert enumerate_periodic_odd(bound) == [g for g in full if group_order(g) <= bound]
+
+
+def test_smallest_prime_factors_match_trial_division():
+    for limit in (0, 1, 2, 3, 4, 20000):
+        spf = _smallest_prime_factors(limit)
+        assert len(spf) == limit + 1
+        assert all(spf[k] == min(_factorize(k)) for k in range(2, limit + 1)), limit
 
 
 def test_admissible_r_is_the_crt_of_local_roots():
