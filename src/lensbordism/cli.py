@@ -11,17 +11,22 @@ module writes it with an indent of 2.  The many entries of ``lemma5`` and
 ``groups`` are rendered by one f-string each, laid out as the entry
 (``_lemma5_json``, ``_groups_json``); everything else, the single entries
 of the other commands, the params, the summary and the stderr dicts, by
-the generic ``_json``.
+the generic ``_json``.  An entry is a dict only where generic code reads
+it: a ``lemma5`` entry is, as ``_spread`` writes its CSV row and ``_json``
+a failure record that holds it, while a ``groups`` entry is the walk's
+(m, n, r, sylow) tuple as ``_presentations`` yields it, which only its
+three renderers read.
 
 Exit codes: 0 success, 1 verification failure or oracle disagreement (a
 nonzero ``failures`` in the report's summary), 2 usage or input error,
-running out of memory or an output that cannot be written (one ``error:``
-line), 130 interrupted and 141 stdout closed by its reader (neither prints
-anything, not even a traceback).  Input errors raise before the first byte
-of the report, so stdout stays empty and an ``--out`` file is neither
-created nor truncated; the same holds for an interrupt or running out of
-memory before the first byte.  After it, they leave a truncated report on
-stdout and no ``--out`` file.
+running out of memory, an output that cannot be written or another OS
+error, such as a failed pipe or fork (one ``error:`` line), 130
+interrupted and 141 stdout closed by its reader (neither prints anything,
+not even a traceback).  Input errors raise before the first byte of the
+report, so stdout stays empty and an ``--out`` file is neither created
+nor truncated; the same holds for an interrupt or running out of memory
+before the first byte.  After it, they leave a truncated report on stdout
+and no ``--out`` file.
 """
 
 from __future__ import annotations
@@ -140,8 +145,10 @@ def _spread(entry: dict) -> list:
 class Report:
     """What one subcommand computes, for ``_write_report`` to stream.
 
-    ``entries`` is an iterable of entry dicts, read once.  ``to_text(entry)``
-    is an entry's text lines as one string, ``to_row(entry)`` its CSV row
+    ``entries`` is an iterable of entries, read once: dicts, as the default
+    formatters need, or any value that the given ones take, such as the
+    ``groups`` tuples.  ``to_text(entry)`` is an entry's text lines as one
+    string, ``to_row(entry)`` its CSV row
     (by default its values, each list spread over one column per item) and
     ``to_json(entry)`` its JSON, indented to sit in the entries list (by
     default ``_json``); ``head`` and ``tail`` are the text lines before and
@@ -307,18 +314,6 @@ def _lemma5_worker(pm: PrimeModulus, brute_below: int) -> dict:
     return entry
 
 
-def _lemma5_workers(requested: int, tasks: int, cpus: int) -> int:
-    """Worker processes for ``lemma5 --jobs requested`` over ``tasks`` primes.
-
-    ``requested`` 0 means one per core (``cpus``); any count is capped at the
-    number of tasks; a count of 1 runs in this process.  More workers
-    than cores are allowed on purpose, so the forked path can run anywhere;
-    ``cmd_lemma5`` rejects more than ``JOBS_PER_CORE`` per core beforehand.
-    Every worker is forked, also one that gets no block of primes.
-    """
-    return max(1, min(requested or cpus, tasks))
-
-
 # Primes per block of a forked ``lemma5`` run.  The size does not depend on
 # the prime count, so the blocks can be cut before the whole range is known.
 _LEMMA5_BLOCK = 256
@@ -453,7 +448,9 @@ def cmd_lemma5(ns) -> Report:
             f"({JOBS_PER_CORE} per core), got {ns.jobs}"
         )
     primes = primes_in_range(ns.min, ns.max)
-    jobs = _lemma5_workers(ns.jobs, len(primes), cpus)
+    # 0 means one per core, and no worker is forked without a block; more
+    # workers than cores stay allowed, so the forked path runs anywhere
+    jobs = max(1, min(ns.jobs or cpus, -(-len(primes) // _LEMMA5_BLOCK)))
 
     def entries():
         failures = []
@@ -649,39 +646,42 @@ def cmd_orders_d3(ns) -> Report:
 # groups: enumeration of odd-order presentations
 
 
-def _groups_text(e: dict) -> str:
-    sylow = ",".join(f"{s['prime']}:{s['order']}" for s in e["sylow"]) or "-"
+def _groups_text(e: tuple) -> str:
+    m, n, r, sylow = e
+    sylow = ",".join(f"{q}:{o}" for q, o in sylow) or "-"
     return (
-        f"order={e['order']} m={e['m']} n={e['n']} r={e['r']} sylow={sylow} "
-        f"theorem1={'yes' if e['theorem1_applies'] else 'no'}"
+        f"order={m * n} m={m} n={n} r={r} sylow={sylow} "
+        f"theorem1={'yes' if _theorem1_order(m * n) else 'no'}"
     )
 
 
-def _groups_row(e: dict) -> list:
-    sylow = ";".join(f"{s['prime']}:{s['order']}" for s in e["sylow"])
-    return [e["order"], e["m"], e["n"], e["r"], sylow, e["theorem1_applies"]]
+def _groups_row(e: tuple) -> list:
+    m, n, r, sylow = e
+    return [m * n, m, n, r, ";".join(f"{q}:{o}" for q, o in sylow), _theorem1_order(m * n)]
 
 
-def _sylow_json(s: dict) -> str:
-    """One item of a ``groups`` entry's ``sylow`` list, as ``_json`` writes it
-    there."""
-    return f"""{{
-          "prime": {s['prime']},
-          "order": {s['order']},
-          "shape": {_quote(s['shape'])}
+def _groups_json(e: tuple) -> str:
+    """A ``groups`` entry, the walk's (m, n, r, sylow), as ``_json(d, "    ")``
+    writes the dict d it stands for: m, n, r, the order m*n, one {prime,
+    order, shape} per (prime, order) pair of ``sylow`` and
+    ``theorem1_applies``.  Every Sylow subgroup is cyclic of the full
+    prime-power order, as ``sylow_structure`` says."""
+    m, n, r, sylow = e
+    items = [
+        f"""{{
+          "prime": {q},
+          "order": {o},
+          "shape": "cyclic"
         }}"""
-
-
-def _groups_json(e: dict) -> str:
-    """A ``groups`` entry as ``_json(e, "    ")`` writes it, keys in the order
-    ``cmd_groups`` builds them."""
+        for q, o in sylow
+    ]
     return f"""{{
-      "m": {e['m']},
-      "n": {e['n']},
-      "r": {e['r']},
-      "order": {e['order']},
-      "sylow": {_entry_list(map(_sylow_json, e['sylow']))},
-      "theorem1_applies": {'true' if e['theorem1_applies'] else 'false'}
+      "m": {m},
+      "n": {n},
+      "r": {r},
+      "order": {m * n},
+      "sylow": {_entry_list(items)},
+      "theorem1_applies": {'true' if _theorem1_order(m * n) else 'false'}
     }}"""
 
 
@@ -692,20 +692,8 @@ def cmd_groups(ns) -> Report:
 
     def entries():
         listed = 0
-        for listed, (m, n, r, sylow) in enumerate(presentations, 1):
-            yield {
-                "m": m,
-                "n": n,
-                "r": r,
-                "order": m * n,
-                # every Sylow subgroup is cyclic of the full prime-power
-                # order, as ``sylow_structure`` says
-                "sylow": [
-                    {"prime": q, "order": o, "shape": "cyclic"}
-                    for q, o in sylow
-                ],
-                "theorem1_applies": _theorem1_order(m * n),
-            }
+        for listed, presentation in enumerate(presentations, 1):
+            yield presentation
         report.summary = {"groups_listed": listed, "failures": 0}
         report.tail = [f"groups_listed={listed}"]
 
@@ -752,8 +740,8 @@ def build_parser() -> argparse.ArgumentParser:
     lemma5.add_argument(
         "--jobs", type=int, default=1,
         help=(
-            "worker processes (0 = all cores; capped at the number of primes; "
-            f"at most {JOBS_PER_CORE} per core, so the determinism check can run "
+            f"worker processes (0 = all cores; at most one per block of {_LEMMA5_BLOCK} primes "
+            f"and {JOBS_PER_CORE} per core, so the determinism check can run "
             "3 workers on any machine)"
         ),
     )
@@ -826,11 +814,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except KeyboardInterrupt:
         return EXIT_INTERRUPTED
-    except OSError as exc:  # an output that cannot be written
+    except OSError as exc:  # an output that cannot be written, or a failed pipe or fork
         if not ns.out:
             # what stdout still buffers goes to os.devnull, so the flush at
             # exit cannot fail again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            try:
+                with open(os.devnull, "wb") as null:
+                    os.dup2(null.fileno(), sys.stdout.fileno())
+            except ValueError:  # stdout has no descriptor, as a StringIO, or is closed
+                pass
         if isinstance(exc, BrokenPipeError):  # the reader left, as in ``| head``
             return EXIT_BROKEN_PIPE
         print(f"error: {exc}", file=sys.stderr)

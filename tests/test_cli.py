@@ -1,5 +1,6 @@
 """Tests for the command line front end."""
 
+import errno
 import io
 import json
 import os
@@ -16,7 +17,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lensbordism import __version__, cli, groups, orders
-from lensbordism.cli import Report, _json, _lemma5_workers, _write_report, main
+from lensbordism.cli import Report, _json, _write_report, main
 from lensbordism.groups import MetacyclicParams, sylow_structure
 from lensbordism.lens import LensSpace
 from lensbordism.numtheory import PrimeModulus
@@ -203,16 +204,30 @@ class TestLemma5:
         assert "primes_checked=10 failures=0" in out
         assert out.count("[brute-checked]") == 10
 
-    def test_worker_count(self):
-        # 0 means one per core; every count is capped at the number of primes
-        assert _lemma5_workers(1, 100, 8) == 1
-        assert _lemma5_workers(0, 100, 8) == 8
-        assert _lemma5_workers(0, 3, 8) == 3
-        assert _lemma5_workers(10**6, 5, 2) == 5
-        # more workers than cores stay allowed, so the forked path runs anywhere
-        assert _lemma5_workers(3, 100, 1) == 3
-        assert _lemma5_workers(4, 1, 2) == 1
-        assert _lemma5_workers(4, 0, 2) == 1
+    @pytest.mark.parametrize(
+        "span, jobs, forks",
+        [
+            # 44 primes, one block of 256: run in process
+            (("--max", "200"), "2", 0),
+            # 301 primes, two blocks: one worker each, not four
+            (("--max", "2000"), "4", 2),
+            # 2,260 primes, nine blocks: one worker per core up to nine
+            (("--max", "20000"), "0", min(os.cpu_count() or 1, 9)),
+        ],
+        ids=["one-block", "two-blocks", "all-cores"],
+    )
+    def test_forks_no_more_workers_than_blocks(self, capsys, monkeypatch, span, jobs, forks):
+        real, forked = os.fork, []
+
+        def counting():
+            pid = real()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(cli.os, "fork", counting)
+        assert run(capsys, "lemma5", "--min", "5", *span, "--jobs", jobs)[0] == 0
+        assert len(forked) == (forks if forks > 1 else 0)  # one worker runs in process
 
     def test_json_roundtrip(self, capsys):
         _, out, _ = run(
@@ -456,10 +471,12 @@ def test_lemma5_hands_the_sieved_primes_to_its_workers(monkeypatch, jobs):
 
     monkeypatch.setattr(cli, "primes_in_range", sieve)
     monkeypatch.setattr(cli, "_lemma5_results", recording)
-    ns = cli.build_parser().parse_args(("lemma5", "--min", "5", "--max", "40", "--jobs", jobs))
+    # 548 primes, three blocks, so that --jobs 2 forks
+    ns = cli.build_parser().parse_args(("lemma5", "--min", "5", "--max", "4000", "--jobs", jobs))
     entries = list(cli.cmd_lemma5(ns).entries)
     assert len(sent) == 1 and sent[0] is sieved[0]
-    assert [e["p"] for e in entries] == sent[0] == [5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    assert [e["p"] for e in entries] == sent[0]
+    assert len(entries) == 548 and sent[0][:4] == [5, 7, 11, 13]
     assert all(type(e["p"]) is int for e in entries)
 
 
@@ -764,28 +781,51 @@ def test_streamed_report_matches_json_dumps(params, entries, summary):
     assert out.getvalue() == json.dumps(data, indent=2) + "\n"
 
 
+def groups_entry_dict(entry: tuple) -> dict:
+    """The dict that a ``groups`` entry, the walk's (m, n, r, sylow), stands
+    for in a JSON report: the layout that ``_groups_json`` must write."""
+    m, n, r, sylow = entry
+    order = m * n
+    return {
+        "m": m,
+        "n": n,
+        "r": r,
+        "order": order,
+        "sylow": [{"prime": q, "order": o, "shape": "cyclic"} for q, o in sylow],
+        "theorem1_applies": order % 2 == 1 and order % 9 != 0,
+    }
+
+
 @pytest.mark.parametrize(
-    "args, renderer",
+    "args, renderer, as_dict",
     [
-        (("lemma5", "--min", "5", "--max", "20000"), cli._lemma5_json),
+        (("lemma5", "--min", "5", "--max", "20000"), cli._lemma5_json, dict),
         # brute-checked up to the largest --brute-below that --max 20000 admits
-        (("lemma5", "--min", "5", "--max", "20000", "--brute-below", "10000"), cli._lemma5_json),
-        (("groups", "--max-order", "3000"), cli._groups_json),
+        (
+            ("lemma5", "--min", "5", "--max", "20000", "--brute-below", "10000"),
+            cli._lemma5_json,
+            dict,
+        ),
+        (("groups", "--max-order", "3000"), cli._groups_json, groups_entry_dict),
     ],
     ids=["lemma5", "lemma5-brute-checked", "groups"],
 )
-def test_entry_templates_match_json_writer_over_whole_ranges(args, renderer):
-    """A renderer that drifts from what the handler builds, such as a key
-    renamed or moved, renders differently from ``_json``.  The renderers
-    are plain module-level functions, so they pickle."""
+def test_entry_templates_match_json_writer_over_whole_ranges(args, renderer, as_dict):
+    """A renderer that drifts from the entry's layout, such as a key renamed
+    or moved, renders differently from ``_json``.  A ``lemma5`` entry is the
+    dict the handler builds; a ``groups`` entry is the walk's tuple, whose
+    layout ``groups_entry_dict`` holds.  The renderers are plain
+    module-level functions, so they pickle."""
     ns = cli.build_parser().parse_args(args)
     report = getattr(cli, "cmd_" + ns.command)(ns)
     assert report.to_json is renderer
     assert pickle.loads(pickle.dumps(renderer)) is renderer
-    count = 0
-    for count, entry in enumerate(report.entries, 1):
-        assert renderer(entry) == _json(entry, "    "), entry
-    assert count == {"lemma5": 2260, "groups": 2064}[ns.command]
+    entries = list(report.entries)
+    assert len(entries) == {"lemma5": 2260, "groups": 2064}[ns.command]
+    if ns.command == "groups":
+        assert entries == list(groups._presentations(3000))
+    for entry in entries:
+        assert renderer(entry) == _json(as_dict(entry), "    "), entry
 
 
 @pytest.mark.parametrize(
@@ -937,6 +977,22 @@ finally:
         report = cli.cmd_lemma5(cli.build_parser().parse_args(self.PARALLEL))
         with pytest.raises(BrokenPipeError):
             _write_report(report, "lemma5", "json", Closed())
+        assert no_child_left()
+
+    def test_failed_pipe_under_a_redirected_stdout(self, capsys, monkeypatch):
+        # the second pipe fails after worker 0 was forked, and the captured
+        # stdout has no descriptor to point at os.devnull
+        real, calls = os.pipe, []
+
+        def failing():
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+            return real()
+
+        monkeypatch.setattr(cli.os, "pipe", failing)
+        code, _, err = run(capsys, "lemma5", "--min", "5", "--max", "20000", "--jobs", "2")
+        assert (code, err, len(calls)) == (2, "error: [Errno 24] Too many open files\n", 2)
         assert no_child_left()
 
     def test_interrupt_in_the_parent(self, capsys, monkeypatch):

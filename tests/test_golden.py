@@ -111,8 +111,21 @@ def test_golden_output(case, exit_codes):
 )
 def test_failures_cross_the_worker_pipes(case, exit_codes):
     """At ``--jobs 2`` the forked workers inherit the patch and send their
-    failure dicts, trace dicts included, back through their pipes."""
-    out, err, code = run_case(case, ("--jobs", "2"))
+    failure dicts, trace dicts included, back through their pipes.
+
+    Both ranges hold fewer primes than one block, so the block is shrunk to
+    one prime: two blocks, two forked workers."""
+    real, forked = cli.os.fork, []
+
+    def counting():
+        pid = real()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    with mock.patch.object(cli, "_LEMMA5_BLOCK", 1), mock.patch.object(cli.os, "fork", counting):
+        out, err, code = run_case(case, ("--jobs", "2"))
+    assert len(forked) == 2
     assert out == _read(GOLDEN / f"{case}.out")
     assert err == _read(GOLDEN / f"{case}.err")
     assert code == exit_codes[case] == 1
