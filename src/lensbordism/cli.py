@@ -49,7 +49,7 @@ from .lens import (
     pontrjagin_pair,
     q_sum,
 )
-from .numtheory import PrimeModulus, primes_in_range
+from .numtheory import PrimeModulus, _prime_stream
 from .orders import (
     bordism_order_cyclic,
     bordism_order_metacyclic_d3,
@@ -65,12 +65,15 @@ EXIT_USAGE = 2
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports an interrupted command
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a write to a closed pipe
 
-# Largest accepted `lemma5 --max` and `groups --max-order`.  The sieve and
-# the smallest-prime-factor table grow about linearly with them (reports and
-# presentations are streamed); at these bounds a JSON run peaked at 20.4-20.6
-# and 16.7-16.8 MB and took 2.3-3.3 s (``lemma5 --jobs 1``), 1.4-1.6 s
-# (``--jobs 2``) and 0.7-1.1 s (``groups``) on a shared 2-core machine
-# (6 runs of ``lemma5`` at each job count and 3 of ``groups``, Python 3.11).
+# Largest accepted `lemma5 --max` and `groups --max-order`.  The `lemma5`
+# sieve holds one window and the primes up to isqrt(--max), while the
+# `groups` smallest-prime-factor table grows about linearly with its bound
+# (reports and presentations are streamed).  At these bounds a JSON run
+# peaked at 14.6-14.7 MB (``lemma5``, near the 14.1 MB of a one-prime run)
+# and 16.7-16.8 MB (``groups``) and took 2.9-3.1 s (``lemma5 --jobs 1``),
+# 1.8-2.0 s (``--jobs 2``) and 0.7-1.1 s (``groups``) on a shared 2-core
+# machine (quartiles of 7 runs each of ``tools/capbench.py`` for ``lemma5``,
+# 3 runs of ``groups``; Python 3.11).
 LEMMA5_MAX = 10**6
 GROUPS_MAX_ORDER = 10**5
 # Largest `--p` accepted with `independent --brute`: the oracle is O(p) time
@@ -314,17 +317,42 @@ def _lemma5_worker(pm: PrimeModulus, brute_below: int) -> dict:
     return entry
 
 
-# Primes per block of a forked ``lemma5`` run.  The size does not depend on
-# the prime count, so the blocks can be cut before the whole range is known.
+# Primes per block of ``lemma5``.  The size does not depend on the prime
+# count, so the blocks are cut from the sieve as it yields the primes.
 _LEMMA5_BLOCK = 256
 
 
+def _blocks(primes, keep):
+    """The iterator ``primes`` cut into blocks of ``_LEMMA5_BLOCK``, the
+    last one possibly shorter: block k = 0, 1, 2, ... as its list of primes
+    when ``keep(k)``, and otherwise as the list of its first prime alone,
+    the rest stepped over without a list."""
+    from itertools import count, islice  # a builtin module, loaded at start-up
+
+    for k in count():
+        if keep(k):
+            block = list(islice(primes, _LEMMA5_BLOCK))
+        else:
+            block = list(islice(primes, 1))
+            next(islice(primes, _LEMMA5_BLOCK - 1, _LEMMA5_BLOCK - 1), None)
+        if not block:
+            return
+        yield block
+
+
 def _lemma5_child(
-    primes: list[int], brute_below: int, jobs: int, worker: int, fd: int, inherited: list[int]
+    first: list[list[PrimeModulus]],
+    primes,
+    brute_below: int,
+    worker: int,
+    fd: int,
+    inherited: list[int],
 ) -> None:
-    """Worker ``worker`` of ``jobs`` in a forked child: ``_lemma5_worker`` on
-    each prime of blocks worker, worker + jobs, ..., each block's results
-    written to the pipe ``fd`` as ``marshal`` bytes behind an 8-byte length.
+    """Worker ``worker`` of ``len(first)`` in a forked child:
+    ``_lemma5_worker`` on each prime of blocks worker, worker + jobs, ...
+    of the blocks ``first`` and then of ``primes``, the parent's iterator as
+    it was at the fork, each block's results written to the pipe ``fd`` as
+    ``marshal`` bytes behind an 8-byte length.
 
     It first closes the read ends it ``inherited``.  It leaves only through
     ``os._exit``, so it never returns into the parent's code and never
@@ -332,13 +360,16 @@ def _lemma5_child(
     ``--out`` file.  A reader that has gone or an interrupt ends it quietly;
     any other exception prints its traceback first.
     """
+    from itertools import chain, islice
+
     code = 1
     try:
         for other in inherited:
             os.close(other)
         out = open(fd, "wb")
-        for start in range(worker * _LEMMA5_BLOCK, len(primes), jobs * _LEMMA5_BLOCK):
-            block = primes[start:start + _LEMMA5_BLOCK]
+        jobs = len(first)
+        blocks = chain(first, _blocks(primes, lambda k: k % jobs == worker))
+        for block in islice(blocks, worker, None, jobs):
             data = marshal.dumps([_lemma5_worker(p, brute_below) for p in block])
             out.write(len(data).to_bytes(8, "little"))
             out.write(data)
@@ -355,20 +386,27 @@ def _lemma5_child(
         os._exit(code)
 
 
-def _lemma5_results(primes: list[int], brute_below: int, jobs: int):
-    """``_lemma5_worker``'s result for each prime, in order.
+def _lemma5_results(first: list[list[PrimeModulus]], primes, brute_below: int):
+    """``_lemma5_worker``'s result for each prime of the blocks ``first``
+    and then of the iterator ``primes``, in order.
 
-    Above one job, where ``os.fork`` exists, ``jobs`` forked children
-    (``_lemma5_child``) share the primes: block k of ``_LEMMA5_BLOCK``
-    primes goes to worker k mod jobs, each worker writes to its own pipe,
-    and the blocks are read back in order k = 0, 1, 2, ...  A full pipe
-    blocks its writer, so no worker runs more than about one block ahead of
-    the reader.  A worker that ends before its block is read raises
+    With more than one block in ``first``, where ``os.fork`` exists, one
+    forked child per block of ``first`` (``_lemma5_child``) shares the
+    blocks: each child goes on with its own copy of ``primes``, the same
+    stream as the parent's, and worker w lists only the blocks k with
+    k mod jobs = w.  Each worker writes to its own pipe, and the parent,
+    which steps over the same blocks and keeps only their first primes,
+    reads them back in order k = 0, 1, 2, ...  A full pipe blocks its
+    writer, so no worker runs more than about one block ahead of the
+    reader.  A worker that ends before its block is read raises
     ``RuntimeError``.  However the results end, the read ends are closed and
     every child is waited for.
     """
-    if jobs == 1 or not hasattr(os, "fork"):
-        for p in primes:
+    from itertools import chain
+
+    jobs = len(first)
+    if jobs <= 1 or not hasattr(os, "fork"):
+        for p in chain(chain.from_iterable(first), primes):
             yield _lemma5_worker(p, brute_below)
         return
     readers, pids = [], []
@@ -380,20 +418,20 @@ def _lemma5_results(primes: list[int], brute_below: int, jobs: int):
                 pid = os.fork()
                 if pid == 0:
                     _lemma5_child(
-                        primes, brute_below, jobs, worker, w, [f.fileno() for f in readers]
+                        first, primes, brute_below, worker, w, [f.fileno() for f in readers]
                     )
             finally:
                 os.close(w)
             pids.append(pid)
-        for start in range(0, len(primes), _LEMMA5_BLOCK):
-            worker = start // _LEMMA5_BLOCK % jobs
+        for k, block in enumerate(chain(first, _blocks(primes, lambda k: False))):
+            worker = k % jobs
             head = readers[worker].read(8)
             size = int.from_bytes(head, "little")
             data = readers[worker].read(size)
             if len(head) < 8 or len(data) < size:
                 raise RuntimeError(
                     f"lemma5 worker {worker} ended before returning its block "
-                    f"from p={primes[start]}"
+                    f"from p={block[0]}"
                 )
             yield from marshal.loads(data)
     finally:
@@ -447,20 +485,25 @@ def cmd_lemma5(ns) -> Report:
             f"--jobs must be at most {JOBS_PER_CORE * cpus} "
             f"({JOBS_PER_CORE} per core), got {ns.jobs}"
         )
-    primes = primes_in_range(ns.min, ns.max)
-    # 0 means one per core, and no worker is forked without a block; more
-    # workers than cores stay allowed, so the forked path runs anywhere
-    jobs = max(1, min(ns.jobs or cpus, -(-len(primes) // _LEMMA5_BLOCK)))
+    # 0 means one worker per core, and more than cores stay allowed, so the
+    # forked path runs anywhere.  The first block of each worker is cut now,
+    # so that no worker is forked without one and the sieve starts before
+    # the report does.
+    primes = _prime_stream(ns.min, ns.max)
+    first = [
+        block for _, block in zip(range(ns.jobs or cpus), _blocks(primes, lambda k: True))
+    ]
 
     def entries():
-        failures = []
-        for result in _lemma5_results(primes, ns.brute_below, jobs):
+        failures, checked = [], 0
+        for result in _lemma5_results(first, primes, ns.brute_below):
+            checked += 1
             if "reason" in result:
                 failures.append(result)
             else:
                 yield result
-        report.summary = {"primes_checked": len(primes), "failures": len(failures)}
-        report.tail = [f"primes_checked={len(primes)} failures={len(failures)}"]
+        report.summary = {"primes_checked": checked, "failures": len(failures)}
+        report.tail = [f"primes_checked={checked} failures={len(failures)}"]
         for failure in failures:
             report.stderr += [f"FAILURE p={failure['p']}: {failure['reason']}", failure]
 

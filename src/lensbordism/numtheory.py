@@ -16,6 +16,11 @@ package's cube roots) gives both of its roots, so a call costs a few
 O(log p) modular powers per candidate rather than an O(p) table of roots.
 Residues and primes are ints: a prime is tested once, by the one rule
 ``_prime_modulus``, and then passed on as a ``PrimeModulus``, an int.
+Ranges of primes come from one segmented sieve, ``_prime_stream``: it
+sieves the base primes up to the square root of the range's end, then
+strikes their multiples from one window of the range at a time and yields
+each prime as it is found, so a range holds one window in memory and a
+range far from 2 is not sieved from 2; ``primes_in_range`` is its list.
 """
 
 from __future__ import annotations
@@ -88,11 +93,12 @@ class PrimeModulus(int):
         # and 1 the default would rebuild the int without calling it
         return (PrimeModulus, (int(self),))
 
-    @classmethod
-    def _trusted(cls, p: int) -> "PrimeModulus":
-        """A modulus for a p already known to be prime, such as a sieved
-        one; skips the primality test that construction runs."""
-        return int.__new__(cls, p)
+    # ``PrimeModulus._trusted(p)``: a modulus for a p already known to be
+    # prime, such as a sieved one, built by ``int.__new__`` with the class
+    # bound, so it skips the primality test that construction runs and costs
+    # no Python call: ``_prime_stream`` makes one per prime, and a method
+    # written in Python doubled the time of that loop.
+    _trusted = classmethod(int.__new__)
 
 
 class _Checked:
@@ -162,18 +168,51 @@ def _factorize(n: int) -> dict[int, int]:
     return factors
 
 
-def primes_in_range(lo: int, hi: int) -> list[PrimeModulus]:
-    """All primes in [lo, hi], ascending."""
+# Numbers per window of ``_prime_stream``: a window is a bytearray of this
+# many flags, so it bounds the sieve's memory wherever the range lies.
+_SIEVE_WINDOW = 1 << 16
+
+
+def _prime_stream(lo: int, hi: int):
+    """The primes in [lo, hi], ascending, each yielded as a ``PrimeModulus``
+    as it is sieved, so that it is not tested again.
+
+    A segmented sieve of Eratosthenes: it sieves the base primes up to
+    isqrt(hi), then strikes their multiples from one window of
+    ``_SIEVE_WINDOW`` numbers of [lo, hi] at a time, each from q**2 or the
+    first multiple of q in the window, whichever is larger.  So it holds one
+    window and the base primes, and a range far from 2 costs its width and
+    isqrt(hi), not hi.  It raises ``RangeError`` when lo > hi and
+    ``ValueError`` when lo < 2, at the first prime asked for.
+    """
     if lo > hi:
         raise RangeError(f"empty range [{lo}, {hi}]")
     if lo < 2:
         raise ValueError("lo must be at least 2")
-    sieve = bytearray([1]) * (hi + 1)
-    sieve[0] = sieve[1] = 0
-    for n in range(2, math.isqrt(hi) + 1):
-        if sieve[n]:
-            sieve[n * n :: n] = bytearray(len(range(n * n, hi + 1, n)))
-    return [PrimeModulus._trusted(n) for n in range(lo, hi + 1) if sieve[n]]
+    from itertools import compress  # a builtin module, loaded at start-up
+
+    # the base primes by a plain sieve of [0, isqrt(hi)]: taking them from
+    # this stream, recursively, made a one-prime range twice as slow
+    root = math.isqrt(hi)
+    flags = bytearray([1]) * (root + 1)
+    flags[:2] = b"\0\0"
+    for n in range(2, math.isqrt(root) + 1):
+        if flags[n]:
+            flags[n * n :: n] = bytes(len(range(n * n, root + 1, n)))
+    base = list(compress(range(root + 1), flags))
+    for start in range(lo, hi + 1, _SIEVE_WINDOW):
+        end = min(start + _SIEVE_WINDOW, hi + 1)
+        window = bytearray([1]) * (end - start)
+        for q in base:
+            first = max(q * q, start + -start % q)
+            if first < end:
+                window[first - start :: q] = bytes(len(range(first, end, q)))
+        yield from map(PrimeModulus._trusted, compress(range(start, end), window))
+
+
+def primes_in_range(lo: int, hi: int) -> list[PrimeModulus]:
+    """All primes in [lo, hi], ascending (``_prime_stream``)."""
+    return list(_prime_stream(lo, hi))
 
 
 def _element_of_order(p: int, q: int, d: int, primes_of_d: list[int]) -> int:

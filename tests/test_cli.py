@@ -149,7 +149,7 @@ class TestLemma5:
             raise AssertionError("sieve or worker started")
 
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(cli, "primes_in_range", refuse)
+        monkeypatch.setattr(cli, "_prime_stream", refuse)
         monkeypatch.setattr(cli.os, "fork", refuse)
         for jobs in ("9", "100000"):
             code, out, err = run(
@@ -168,12 +168,12 @@ class TestLemma5:
         def no_sieve(lo, hi):
             raise AssertionError("sieve allocated")
 
-        monkeypatch.setattr(cli, "primes_in_range", no_sieve)
+        monkeypatch.setattr(cli, "_prime_stream", no_sieve)
         over = str(cli.LEMMA5_MAX + 1)
         code, out, err = run(capsys, "lemma5", "--min", "5", "--max", over)
         assert (code, out) == (2, "")
         assert err == f"error: --max must be at most {cli.LEMMA5_MAX}, got {over}\n"
-        monkeypatch.setattr(cli, "primes_in_range", lambda lo, hi: [])
+        monkeypatch.setattr(cli, "_prime_stream", lambda lo, hi: iter(()))
         at_cap = str(cli.LEMMA5_MAX)
         assert run(capsys, "lemma5", "--min", "999990", "--max", at_cap)[0] == 0
 
@@ -186,7 +186,7 @@ class TestLemma5:
         def fail(*args):
             raise AssertionError("search ran")
 
-        monkeypatch.setattr(cli, "primes_in_range", fail)
+        monkeypatch.setattr(cli, "_prime_stream", fail)
         monkeypatch.setattr(cli, "independent_bruteforce", fail)
         over = str(cli.BRUTE_BELOW_MAX + 1)
         code, out, err = run(
@@ -453,31 +453,44 @@ def test_reports_hold_plain_ints(args):
     assert prime_moduli([report.params, entries, report.summary]) == []
 
 
+@pytest.mark.parametrize("size", [1, 2, 256])
+def test_blocks_list_only_the_kept_blocks(monkeypatch, size):
+    """A block not kept is the list of its first prime; the iterator is
+    still cut at the same places, the last block possibly shorter."""
+    monkeypatch.setattr(cli, "_LEMMA5_BLOCK", size)
+    items = list(range(1000))
+    cuts = [items[i : i + size] for i in range(0, len(items), size)]
+    blocks = list(cli._blocks(iter(items), lambda k: k % 3 == 1))
+    assert blocks == [cut if k % 3 == 1 else cut[:1] for k, cut in enumerate(cuts)]
+    assert list(cli._blocks(iter(()), lambda k: True)) == []
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_lemma5_hands_the_sieved_primes_to_its_workers(monkeypatch, jobs):
-    """The primes reach ``_lemma5_results`` as the very list that
-    ``primes_in_range`` returned, not a copy; the forked workers inherit it,
-    and each entry holds p as a plain int, which ``marshal`` writes."""
-    sieved, sent = [], []
-    real_sieve, real_results = cli.primes_in_range, cli._lemma5_results
+    """The primes reach the search as ``_prime_stream`` yields them: the
+    parent opens one stream, the forked workers go on with their copies of
+    it, and each entry holds p as a plain int, which ``marshal`` writes."""
+    streams, yielded = [], []
+    real_stream = cli._prime_stream
 
-    def sieve(lo, hi):
-        sieved.append(real_sieve(lo, hi))
-        return sieved[-1]
+    def stream(lo, hi):
+        streams.append((lo, hi))
+        for p in real_stream(lo, hi):
+            yielded.append(p)  # in the parent; a child appends to its own copy
+            yield p
 
-    def recording(primes, brute_below, jobs):
-        sent.append(primes)
-        return real_results(primes, brute_below, jobs)
-
-    monkeypatch.setattr(cli, "primes_in_range", sieve)
-    monkeypatch.setattr(cli, "_lemma5_results", recording)
+    monkeypatch.setattr(cli, "_prime_stream", stream)
     # 548 primes, three blocks, so that --jobs 2 forks
     ns = cli.build_parser().parse_args(("lemma5", "--min", "5", "--max", "4000", "--jobs", jobs))
-    entries = list(cli.cmd_lemma5(ns).entries)
-    assert len(sent) == 1 and sent[0] is sieved[0]
-    assert [e["p"] for e in entries] == sent[0]
-    assert len(entries) == 548 and sent[0][:4] == [5, 7, 11, 13]
+    report = cli.cmd_lemma5(ns)
+    # the first block of each worker is cut before the report starts
+    assert len(yielded) == int(jobs) * cli._LEMMA5_BLOCK
+    entries = list(report.entries)
+    assert streams == [(5, 4000)]
+    assert [e["p"] for e in entries] == yielded
+    assert len(entries) == 548 and yielded[:4] == [5, 7, 11, 13]
     assert all(type(e["p"]) is int for e in entries)
+    assert report.summary == {"primes_checked": 548, "failures": 0}
 
 
 @pytest.mark.parametrize("flags, built", [((), 18), (("--brute-below", "0"), 0)])
@@ -714,7 +727,7 @@ def test_memory_error_is_one_error_line(capsys, monkeypatch):
     def exhausted(lo, hi):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "primes_in_range", exhausted)
+    monkeypatch.setattr(cli, "_prime_stream", exhausted)
     code, out, err = run(capsys, "lemma5", "--min", "5", "--max", "100")
     assert (code, out, err) == (2, "", "error: out of memory\n")
 

@@ -31,6 +31,8 @@ FORMATS = ("text", "csv", "json")
 SCENARIOS = {
     "lemma5-200": ["lemma5", "--min", "5", "--max", "200"],
     "lemma5-200-nobrute": ["lemma5", "--min", "5", "--max", "200", "--brute-below", "0"],
+    # a window far from 5, whose sieve starts at neither 2 nor a base prime
+    "lemma5-999000": ["lemma5", "--min", "999000", "--max", "1000000"],
     "lemma5-inverted": ["lemma5", "--min", "10", "--max", "9"],
     "lemma5-exhausted": ["lemma5", "--min", "5", "--max", "13"],
     "lemma5-disagree": ["lemma5", "--min", "5", "--max", "7"],
@@ -129,6 +131,20 @@ def test_failures_cross_the_worker_pipes(case, exit_codes):
     assert out == _read(GOLDEN / f"{case}.out")
     assert err == _read(GOLDEN / f"{case}.err")
     assert code == exit_codes[case] == 1
+
+
+@pytest.mark.parametrize(
+    "case",
+    sorted(c for c, (name, _) in CASES.items() if name.startswith("lemma5") and name not in PATCHES),
+)
+def test_lemma5_goldens_from_forked_workers(case, exit_codes):
+    """Each lemma5 report is the same from two forked workers, which cut
+    blocks of 16 primes from their copies of the parent's prime stream."""
+    with mock.patch.object(cli, "_LEMMA5_BLOCK", 16):
+        out, err, code = run_case(case, ("--jobs", "2"))
+    assert out == _read(GOLDEN / f"{case}.out")
+    assert err == _read(GOLDEN / f"{case}.err")
+    assert code == exit_codes[case]
 
 
 def test_golden_cases_complete(exit_codes):

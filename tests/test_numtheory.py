@@ -1,6 +1,8 @@
 """Tests for the modular arithmetic layer."""
 
+import math
 import pickle
+import random
 from bisect import bisect_left
 
 import pytest
@@ -10,6 +12,7 @@ from lensbordism.errors import RangeError, ZeroInput
 from lensbordism.numtheory import (
     PrimeModulus,
     _factorize,
+    _prime_stream,
     _root_mod,
     is_prime,
     is_quadratic_residue,
@@ -205,6 +208,72 @@ class TestPrimesInRange:
     def test_matches_trial_division(self):
         got = [int(p) for p in primes_in_range(2, 500)]
         assert got == [n for n in range(2, 501) if is_prime(n)]
+
+
+def _trial_division_primes(lo, hi):
+    """The primes in [lo, hi], each found by trial division by the primes up
+    to its square root; no package code."""
+    divisors = [d for d in range(2, math.isqrt(hi) + 1) if all(d % e for e in range(2, d))]
+    return [
+        n for n in range(max(lo, 2), hi + 1)
+        if all(n % d for d in divisors if d * d <= n)
+    ]
+
+
+# (lo, hi) windows where a segmented sieve goes wrong first
+EDGE_WINDOWS = [
+    # the smallest lo, each below hi and at hi
+    *((lo, hi) for lo in (2, 3, 4, 5) for hi in (lo, 5, 6, 7, 24, 25, 1000) if lo <= hi),
+    # one number: a prime, a composite, a prime square and a base prime
+    (99991, 99991), (999983, 999983), (1000000, 1000000), (994009, 994009),
+    (961, 961), (31, 31), (24, 28),
+    # windows holding base primes, whose own flags must stay set
+    (2, 50), (2, 2000), (7, 1000), (31, 1000),
+    # windows from q**2 and just above it, for base primes q
+    (49, 100), (50, 100), (961, 1100), (962, 1100), (994009, 995000), (994010, 995000),
+    # windows across isqrt(hi), from it and just above it, and ending at a
+    # prime square
+    (90, 10000), (100, 10000), (101, 10000), (300, 100000), (2, 10201), (10000, 10201),
+]
+
+
+class TestPrimeStream:
+    """``_prime_stream`` against ``_trial_division_primes``, which shares no
+    code with it."""
+
+    @pytest.mark.parametrize("lo, hi", EDGE_WINDOWS)
+    def test_edge_windows(self, lo, hi):
+        assert [int(p) for p in _prime_stream(lo, hi)] == _trial_division_primes(lo, hi)
+
+    def test_seeded_random_windows_up_to_a_million(self):
+        rng = random.Random(26)
+        for _ in range(100):
+            hi = rng.randint(2, 10**6)
+            lo = max(2, hi - rng.choice((0, 1, 50, 3000)))
+            assert [int(p) for p in _prime_stream(lo, hi)] == _trial_division_primes(lo, hi)
+
+    @pytest.mark.parametrize("window", [1, 2, 7, 64])
+    def test_windows_join_without_a_gap(self, monkeypatch, window):
+        # many windows per range, so every prime sits near a window edge
+        monkeypatch.setattr(numtheory, "_SIEVE_WINDOW", window)
+        for lo, hi in ((2, 3000), (5, 1000), (961, 1500), (99000, 99500)):
+            assert [int(p) for p in _prime_stream(lo, hi)] == _trial_division_primes(lo, hi)
+
+    def test_yields_trusted_moduli_without_a_primality_test(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("is_prime called")
+
+        monkeypatch.setattr(numtheory, "is_prime", refuse)
+        primes = list(_prime_stream(999000, 1000000))
+        assert len(primes) == 65
+        assert all(type(p) is PrimeModulus for p in primes)
+
+    def test_lazy_and_checked_at_the_first_prime(self):
+        stream = _prime_stream(10, 9)  # nothing is sieved or checked yet
+        with pytest.raises(RangeError):
+            next(stream)
+        with pytest.raises(ValueError, match="lo must be at least 2"):
+            next(_prime_stream(1, 10))
 
 
 class TestSumThreeUnitSquares:
