@@ -26,7 +26,8 @@ not even a traceback).  Input errors raise before the first byte of the
 report, so stdout stays empty and an ``--out`` file is neither created
 nor truncated; the same holds for an interrupt or running out of memory
 before the first byte.  After it, they leave a truncated report on stdout
-and no ``--out`` file.
+and no ``--out`` file; the ``lemma5`` sieve runs only as the entries are
+computed, so it runs out of memory after the first byte.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a write to a closed 
 # sieve holds one window and the primes up to isqrt(--max), while the
 # `groups` smallest-prime-factor table grows about linearly with its bound
 # (reports and presentations are streamed).  At these bounds a JSON run
-# peaked at 14.6-14.7 MB (``lemma5``, near the 14.1 MB of a one-prime run)
-# and 16.7-16.8 MB (``groups``) and took 2.9-3.1 s (``lemma5 --jobs 1``),
-# 1.8-2.0 s (``--jobs 2``) and 0.7-1.1 s (``groups``) on a shared 2-core
+# peaked at 14.5-14.7 MB (``lemma5``, near the 14.1 MB of a one-prime run)
+# and 16.7-16.8 MB (``groups``) and took 3.4-3.7 s (``lemma5 --jobs 1``),
+# 2.0-2.2 s (``--jobs 2``) and 0.7-1.1 s (``groups``) on a shared 2-core
 # machine (quartiles of 7 runs each of ``tools/capbench.py`` for ``lemma5``,
 # 3 runs of ``groups``; Python 3.11).
 LEMMA5_MAX = 10**6
@@ -317,42 +318,21 @@ def _lemma5_worker(pm: PrimeModulus, brute_below: int) -> dict:
     return entry
 
 
-# Primes per block of ``lemma5``.  The size does not depend on the prime
-# count, so the blocks are cut from the sieve as it yields the primes.
-_LEMMA5_BLOCK = 256
+# Numbers per block of ``lemma5``: block k is min + k*width to
+# min + (k+1)*width - 1, cut at max, so every block is known before any
+# prime is sieved and a worker sieves only its own blocks.  Each block sieves
+# its base primes again: [5, 10^7] block by block took 1.7 s in process,
+# shared by the workers, against 0.7 s as one stream.  A wider block costs
+# less but splits the benchmark's [5, 10^4] unevenly: at 4096 it is 3 blocks
+# of 563, 463 and 201 primes, at 8192 2 blocks of 1,028 and 201.
+_LEMMA5_BLOCK = 4096
 
 
-def _blocks(primes, keep):
-    """The iterator ``primes`` cut into blocks of ``_LEMMA5_BLOCK``, the
-    last one possibly shorter: block k = 0, 1, 2, ... as its list of primes
-    when ``keep(k)``, and otherwise as the list of its first prime alone,
-    the rest stepped over without a list."""
-    from itertools import count, islice  # a builtin module, loaded at start-up
-
-    for k in count():
-        if keep(k):
-            block = list(islice(primes, _LEMMA5_BLOCK))
-        else:
-            block = list(islice(primes, 1))
-            next(islice(primes, _LEMMA5_BLOCK - 1, _LEMMA5_BLOCK - 1), None)
-        if not block:
-            return
-        yield block
-
-
-def _lemma5_child(
-    first: list[list[PrimeModulus]],
-    primes,
-    brute_below: int,
-    worker: int,
-    fd: int,
-    inherited: list[int],
-) -> None:
-    """Worker ``worker`` of ``len(first)`` in a forked child:
-    ``_lemma5_worker`` on each prime of blocks worker, worker + jobs, ...
-    of the blocks ``first`` and then of ``primes``, the parent's iterator as
-    it was at the fork, each block's results written to the pipe ``fd`` as
-    ``marshal`` bytes behind an 8-byte length.
+def _lemma5_child(starts, hi: int, brute_below: int, fd: int, inherited: list[int]) -> None:
+    """A forked worker: ``_lemma5_worker`` on each prime of the blocks that
+    begin at ``starts``, each ``_LEMMA5_BLOCK`` numbers wide and cut at
+    ``hi``, each block's results written to the pipe ``fd`` as ``marshal``
+    bytes behind an 8-byte length.
 
     It first closes the read ends it ``inherited``.  It leaves only through
     ``os._exit``, so it never returns into the parent's code and never
@@ -360,17 +340,14 @@ def _lemma5_child(
     ``--out`` file.  A reader that has gone or an interrupt ends it quietly;
     any other exception prints its traceback first.
     """
-    from itertools import chain, islice
-
     code = 1
     try:
         for other in inherited:
             os.close(other)
         out = open(fd, "wb")
-        jobs = len(first)
-        blocks = chain(first, _blocks(primes, lambda k: k % jobs == worker))
-        for block in islice(blocks, worker, None, jobs):
-            data = marshal.dumps([_lemma5_worker(p, brute_below) for p in block])
+        for start in starts:
+            primes = _prime_stream(start, min(start + _LEMMA5_BLOCK - 1, hi))
+            data = marshal.dumps([_lemma5_worker(p, brute_below) for p in primes])
             out.write(len(data).to_bytes(8, "little"))
             out.write(data)
             out.flush()
@@ -386,27 +363,23 @@ def _lemma5_child(
         os._exit(code)
 
 
-def _lemma5_results(first: list[list[PrimeModulus]], primes, brute_below: int):
-    """``_lemma5_worker``'s result for each prime of the blocks ``first``
-    and then of the iterator ``primes``, in order.
+def _lemma5_results(lo: int, hi: int, brute_below: int, jobs: int):
+    """``_lemma5_worker``'s result for each prime of [lo, hi], in order.
 
-    With more than one block in ``first``, where ``os.fork`` exists, one
-    forked child per block of ``first`` (``_lemma5_child``) shares the
-    blocks: each child goes on with its own copy of ``primes``, the same
-    stream as the parent's, and worker w lists only the blocks k with
-    k mod jobs = w.  Each worker writes to its own pipe, and the parent,
-    which steps over the same blocks and keeps only their first primes,
-    reads them back in order k = 0, 1, 2, ...  A full pipe blocks its
-    writer, so no worker runs more than about one block ahead of the
-    reader.  A worker that ends before its block is read raises
+    With more than one block of ``_LEMMA5_BLOCK`` numbers and more than one
+    job, where ``os.fork`` exists, it forks one worker per job up to one per
+    block (``_lemma5_child``): worker w sieves and checks the blocks k with
+    k mod jobs = w and writes them to its own pipe, and the parent, which
+    sieves nothing, reads them back in order k = 0, 1, 2, ...  A full pipe
+    blocks its writer, so no worker runs more than about one block ahead of
+    the reader.  A worker that ends before its block is read raises
     ``RuntimeError``.  However the results end, the read ends are closed and
     every child is waited for.
     """
-    from itertools import chain
-
-    jobs = len(first)
+    starts = range(lo, hi + 1, _LEMMA5_BLOCK)
+    jobs = min(jobs, len(starts))
     if jobs <= 1 or not hasattr(os, "fork"):
-        for p in chain(chain.from_iterable(first), primes):
+        for p in _prime_stream(lo, hi):
             yield _lemma5_worker(p, brute_below)
         return
     readers, pids = [], []
@@ -418,20 +391,19 @@ def _lemma5_results(first: list[list[PrimeModulus]], primes, brute_below: int):
                 pid = os.fork()
                 if pid == 0:
                     _lemma5_child(
-                        first, primes, brute_below, worker, w, [f.fileno() for f in readers]
+                        starts[worker::jobs], hi, brute_below, w, [f.fileno() for f in readers]
                     )
             finally:
                 os.close(w)
             pids.append(pid)
-        for k, block in enumerate(chain(first, _blocks(primes, lambda k: False))):
+        for k, start in enumerate(starts):
             worker = k % jobs
             head = readers[worker].read(8)
             size = int.from_bytes(head, "little")
             data = readers[worker].read(size)
             if len(head) < 8 or len(data) < size:
                 raise RuntimeError(
-                    f"lemma5 worker {worker} ended before returning its block "
-                    f"from p={block[0]}"
+                    f"lemma5 worker {worker} ended before returning its block from {start}"
                 )
             yield from marshal.loads(data)
     finally:
@@ -486,17 +458,12 @@ def cmd_lemma5(ns) -> Report:
             f"({JOBS_PER_CORE} per core), got {ns.jobs}"
         )
     # 0 means one worker per core, and more than cores stay allowed, so the
-    # forked path runs anywhere.  The first block of each worker is cut now,
-    # so that no worker is forked without one and the sieve starts before
-    # the report does.
-    primes = _prime_stream(ns.min, ns.max)
-    first = [
-        block for _, block in zip(range(ns.jobs or cpus), _blocks(primes, lambda k: True))
-    ]
+    # forked path runs anywhere
+    jobs = ns.jobs or cpus
 
     def entries():
         failures, checked = [], 0
-        for result in _lemma5_results(first, primes, ns.brute_below):
+        for result in _lemma5_results(ns.min, ns.max, ns.brute_below, jobs):
             checked += 1
             if "reason" in result:
                 failures.append(result)
@@ -783,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
     lemma5.add_argument(
         "--jobs", type=int, default=1,
         help=(
-            f"worker processes (0 = all cores; at most one per block of {_LEMMA5_BLOCK} primes "
+            f"worker processes (0 = all cores; at most one per block of {_LEMMA5_BLOCK} numbers "
             f"and {JOBS_PER_CORE} per core, so the determinism check can run "
             "3 workers on any machine)"
         ),

@@ -304,11 +304,11 @@ def test_criterion_9_determinism(tmp_path, capsys):
         return path.read_bytes()
 
     # at least 3 workers so the forked path runs even on a single-core box,
-    # and at least one block of 256 primes for each, so every worker computes
-    # ([5, 20000] holds 2,260 primes, 9 blocks)
+    # and at least one block of 4096 numbers for each, so every worker
+    # computes ([5, 20000] is 5 blocks)
     max_jobs = max(os.cpu_count() or 1, 3)
     hi = max(20000, 4096 * max_jobs)
-    assert len(_sieve_primes(5, hi)) >= 256 * max_jobs
+    assert len(range(5, hi + 1, 4096)) >= max_jobs
     lemma_args = ("lemma5", "--min", "5", "--max", str(hi), "--format", "json")
     first = run_to_file("a.json", *lemma_args)
     second = run_to_file("b.json", *lemma_args)

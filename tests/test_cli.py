@@ -20,7 +20,7 @@ from lensbordism import __version__, cli, groups, orders
 from lensbordism.cli import Report, _json, _write_report, main
 from lensbordism.groups import MetacyclicParams, sylow_structure
 from lensbordism.lens import LensSpace
-from lensbordism.numtheory import PrimeModulus
+from lensbordism.numtheory import PrimeModulus, _prime_stream
 from test_groups import _scan_periodic_odd
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -124,7 +124,7 @@ class TestLemma5:
         assert path.read_text(encoding="utf-8") == out
 
     def test_parallel_output_identical(self, capsys):
-        # [5, 20000] holds 2,260 primes, 9 blocks, so each of the 4 workers
+        # [5, 20000] is 5 blocks of 4096 numbers, so each of the 4 workers
         # computes at least one
         code, serial, _ = run(
             capsys, "lemma5", "--min", "5", "--max", "20000", "--format", "json"
@@ -207,12 +207,12 @@ class TestLemma5:
     @pytest.mark.parametrize(
         "span, jobs, forks",
         [
-            # 44 primes, one block of 256: run in process
-            (("--max", "200"), "2", 0),
-            # 301 primes, two blocks: one worker each, not four
-            (("--max", "2000"), "4", 2),
-            # 2,260 primes, nine blocks: one worker per core up to nine
-            (("--max", "20000"), "0", min(os.cpu_count() or 1, 9)),
+            # [5, 4100] is exactly one block of 4096 numbers: run in process
+            (("--max", "4100"), "2", 0),
+            # [5, 6000] is two blocks: one worker each, not four
+            (("--max", "6000"), "4", 2),
+            # [5, 20000] is five blocks: one worker per core up to five
+            (("--max", "20000"), "0", min(os.cpu_count() or 1, 5)),
         ],
         ids=["one-block", "two-blocks", "all-cores"],
     )
@@ -453,44 +453,64 @@ def test_reports_hold_plain_ints(args):
     assert prime_moduli([report.params, entries, report.summary]) == []
 
 
-@pytest.mark.parametrize("size", [1, 2, 256])
-def test_blocks_list_only_the_kept_blocks(monkeypatch, size):
-    """A block not kept is the list of its first prime; the iterator is
-    still cut at the same places, the last block possibly shorter."""
-    monkeypatch.setattr(cli, "_LEMMA5_BLOCK", size)
-    items = list(range(1000))
-    cuts = [items[i : i + size] for i in range(0, len(items), size)]
-    blocks = list(cli._blocks(iter(items), lambda k: k % 3 == 1))
-    assert blocks == [cut if k % 3 == 1 else cut[:1] for k, cut in enumerate(cuts)]
-    assert list(cli._blocks(iter(()), lambda k: True)) == []
-
-
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_lemma5_hands_the_sieved_primes_to_its_workers(monkeypatch, jobs):
-    """The primes reach the search as ``_prime_stream`` yields them: the
-    parent opens one stream, the forked workers go on with their copies of
-    it, and each entry holds p as a plain int, which ``marshal`` writes."""
-    streams, yielded = [], []
+def recording_stream(monkeypatch, path):
+    """Patch ``cli._prime_stream`` to append "pid lo hi" to the file
+    ``path`` at each call, in the process that makes it: forked workers
+    inherit the patch, and each line is written and closed at once."""
     real_stream = cli._prime_stream
 
     def stream(lo, hi):
-        streams.append((lo, hi))
-        for p in real_stream(lo, hi):
-            yielded.append(p)  # in the parent; a child appends to its own copy
-            yield p
+        with open(path, "a") as calls:
+            calls.write(f"{os.getpid()} {lo} {hi}\n")
+        yield from real_stream(lo, hi)
 
     monkeypatch.setattr(cli, "_prime_stream", stream)
-    # 548 primes, three blocks, so that --jobs 2 forks
-    ns = cli.build_parser().parse_args(("lemma5", "--min", "5", "--max", "4000", "--jobs", jobs))
-    report = cli.cmd_lemma5(ns)
-    # the first block of each worker is cut before the report starts
-    assert len(yielded) == int(jobs) * cli._LEMMA5_BLOCK
-    entries = list(report.entries)
-    assert streams == [(5, 4000)]
-    assert [e["p"] for e in entries] == yielded
-    assert len(entries) == 548 and yielded[:4] == [5, 7, 11, 13]
+
+
+@pytest.mark.parametrize("span, jobs", [("10000", "1"), ("4100", "2")])
+def test_lemma5_in_process_sieves_its_range_once(monkeypatch, tmp_path, span, jobs):
+    """At ``--jobs 1``, or with one block, the range is one ``_prime_stream``
+    call in this process, and each entry holds p as a plain int, which
+    ``marshal`` writes."""
+    path = tmp_path / "calls"
+    recording_stream(monkeypatch, path)
+    ns = cli.build_parser().parse_args(("lemma5", "--min", "5", "--max", span, "--jobs", jobs))
+    entries = list(cli.cmd_lemma5(ns).entries)
+    assert path.read_text().split("\n") == [f"{os.getpid()} 5 {span}", ""]
+    primes = list(_prime_stream(5, int(span)))
+    assert [e["p"] for e in entries] == primes and primes[:4] == [5, 7, 11, 13]
     assert all(type(e["p"]) is int for e in entries)
-    assert report.summary == {"primes_checked": 548, "failures": 0}
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_lemma5_workers_sieve_only_their_own_blocks(monkeypatch, tmp_path, jobs):
+    """Forked, the parent sieves nothing, and worker w sieves blocks
+    w, w + jobs, ... of [5, 20000], each once: 4096 numbers wide, the last
+    one cut at 20000."""
+    path = tmp_path / "calls"
+    recording_stream(monkeypatch, path)
+    real, pids = os.fork, []
+
+    def counting():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(cli.os, "fork", counting)
+    ns = cli.build_parser().parse_args(
+        ("lemma5", "--min", "5", "--max", "20000", "--jobs", str(jobs))
+    )
+    report = cli.cmd_lemma5(ns)
+    entries = list(report.entries)
+    calls = [tuple(map(int, line.split())) for line in path.read_text().splitlines()]
+    assert len(pids) == jobs and os.getpid() not in {pid for pid, _, _ in calls}
+    blocks = [(5, 4100), (4101, 8196), (8197, 12292), (12293, 16388), (16389, 20000)]
+    assert sorted(calls, key=lambda call: call[1]) == [
+        (pids[k % jobs], lo, hi) for k, (lo, hi) in enumerate(blocks)
+    ]
+    assert [e["p"] for e in entries] == list(_prime_stream(5, 20000))
+    assert report.summary == {"primes_checked": 2260, "failures": 0}
 
 
 @pytest.mark.parametrize("flags, built", [((), 18), (("--brute-below", "0"), 0)])
@@ -724,12 +744,21 @@ def test_startup_loads_only_what_every_run_needs():
 
 
 def test_memory_error_is_one_error_line(capsys, monkeypatch):
-    def exhausted(lo, hi):
+    """Out of memory is one error line: before the first byte (the ``groups``
+    factor table is built before the report starts) stdout stays empty, and
+    after it (the ``lemma5`` sieve runs as the entries are computed) the
+    report is left truncated."""
+
+    def exhausted(*args):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "_prime_stream", exhausted)
-    code, out, err = run(capsys, "lemma5", "--min", "5", "--max", "100")
+    monkeypatch.setattr(groups, "_smallest_prime_factors", exhausted)
+    code, out, err = run(capsys, "groups", "--max-order", "100")
     assert (code, out, err) == (2, "", "error: out of memory\n")
+    monkeypatch.setattr(cli, "_prime_stream", exhausted)
+    code, out, err = run(capsys, "lemma5", "--min", "5", "--max", "100", "--format", "json")
+    assert (code, err) == (2, "error: out of memory\n")
+    assert out.endswith('"entries": [') and json.loads(out + "]}")["entries"] == []
 
 
 def test_keyboard_interrupt_exits_130_quietly(capsys, monkeypatch):
@@ -948,8 +977,8 @@ class TestForkedWorkers:
         "from lensbordism.cli import main; sys.exit(main(sys.argv[1:]))"
     )
 
-    # 2003 is prime number 301 of [5, 20000], in block 1 (primes 256-511,
-    # from 1637), which worker 1 computes
+    # 4111 is in block 1 of [5, 20000], [4101, 8196], which worker 1
+    # computes; block 0 holds the 563 primes up to 4099
     FAILING = """
 import os, sys
 import lensbordism.cli as cli
@@ -957,7 +986,7 @@ import lensbordism.cli as cli
 real = cli._lemma5_worker
 
 def failing(p, brute_below):
-    if p == 2003:
+    if p == 4111:
         raise ZeroDivisionError("planted in a worker")
     return real(p, brute_below)
 
@@ -1013,7 +1042,7 @@ finally:
 
         def interrupted(entry):
             rendered.append(entry["p"])
-            if len(rendered) == 600:  # in block 2, so both workers have run
+            if len(rendered) == 600:  # in block 1, so both workers have run
                 raise KeyboardInterrupt
             return real(entry)
 
@@ -1028,11 +1057,11 @@ finally:
         assert "ZeroDivisionError: planted in a worker" in proc.stderr
         assert "no child left" in proc.stderr
         assert proc.stderr.rstrip().endswith(
-            "RuntimeError: lemma5 worker 1 ended before returning its block from p=1637"
+            "RuntimeError: lemma5 worker 1 ended before returning its block from 4101"
         )
         # the report stops at the end of block 0, never with a summary
         entries = json.loads(proc.stdout + "]}")["entries"]
-        assert (len(entries), entries[-1]["p"]) == (256, 1627)
+        assert (len(entries), entries[-1]["p"]) == (563, 4099)
 
     def test_interrupt_to_the_process_group(self):
         proc = subprocess.Popen(

@@ -115,8 +115,8 @@ def test_failures_cross_the_worker_pipes(case, exit_codes):
     """At ``--jobs 2`` the forked workers inherit the patch and send their
     failure dicts, trace dicts included, back through their pipes.
 
-    Both ranges hold fewer primes than one block, so the block is shrunk to
-    one prime: two blocks, two forked workers."""
+    Both ranges are narrower than one block, so the block is shrunk to one
+    number: several blocks, two forked workers."""
     real, forked = cli.os.fork, []
 
     def counting():
@@ -138,8 +138,8 @@ def test_failures_cross_the_worker_pipes(case, exit_codes):
     sorted(c for c, (name, _) in CASES.items() if name.startswith("lemma5") and name not in PATCHES),
 )
 def test_lemma5_goldens_from_forked_workers(case, exit_codes):
-    """Each lemma5 report is the same from two forked workers, which cut
-    blocks of 16 primes from their copies of the parent's prime stream."""
+    """Each lemma5 report is the same from two forked workers, which sieve
+    blocks of 16 numbers each."""
     with mock.patch.object(cli, "_LEMMA5_BLOCK", 16):
         out, err, code = run_case(case, ("--jobs", "2"))
     assert out == _read(GOLDEN / f"{case}.out")
