@@ -17,6 +17,13 @@ a failure record that holds it, while a ``groups`` entry is the walk's
 (m, n, r, sylow) tuple as ``_presentations`` yields it, which only its
 three renderers read.
 
+``main`` parses a call whose first argument names a subcommand with that
+subcommand's parser alone (``_parse``).  It goes through the full parser
+only where that one leaves arguments unrecognized, where an argument
+begins with ``--=``, or where the first argument is no subcommand (none,
+``--version``, ``-h`` or an unknown name), so every call gets the full
+parser's output and errors.
+
 Exit codes: 0 success, 1 verification failure or oracle disagreement (a
 nonzero ``failures`` in the report's summary), 2 usage or input error,
 running out of memory, an output that cannot be written or another OS
@@ -723,6 +730,11 @@ def cmd_groups(ns) -> Report:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser and, by name, the subcommand parsers inside it."""
     parser = argparse.ArgumentParser(
         prog="lensbordism",
         description=(
@@ -791,20 +803,41 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument(
             "--out", metavar="FILE", default=None, help="write to FILE instead of stdout"
         )
-    return parser
+    return parser, sub.choices
 
 
-# Built by the first ``main`` call, not at import; parsing leaves it unchanged,
-# so every later call reuses it.
+# Built by the first ``main`` call, not at import; parsing leaves them
+# unchanged, so every later call reuses them.  ``_commands`` holds the
+# subcommand parsers of ``_parser`` by name.
 _parser: argparse.ArgumentParser | None = None
+_commands: dict[str, argparse.ArgumentParser] = {}
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_parser.parse_args(argv)``, with the work of the top-level parser
+    skipped where it cannot change the outcome.
+
+    The top-level parser hands everything after the subcommand name to that
+    subcommand's ``parse_known_args``; on its own it only rejects what the
+    subcommand leaves unrecognized, and an argument that begins with ``--=``
+    (ambiguous between its ``--help`` and ``--version``).  So when
+    ``argv[0]`` names a subcommand and no argument begins with ``--=``, the
+    subcommand parses the rest, and only what it leaves unrecognized sends
+    ``argv`` through the full parser, for the same error."""
+    command = _commands.get(argv[0]) if argv else None
+    if command is not None and not any(arg.startswith("--=") for arg in argv):
+        ns, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return ns
+    return _parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    global _parser
+    global _parser, _commands
     if _parser is None:
-        _parser = build_parser()
+        _parser, _commands = _build_parsers()
     try:
-        ns = _parser.parse_args(argv)
+        ns = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     # looked up on each call, so a replaced or wrapped handler is the one run

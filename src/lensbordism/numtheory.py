@@ -1,12 +1,12 @@
 """Exact modular arithmetic over prime moduli.
 
 Everything here is pure and deterministic.  Primality is decided by a
-strong-probable-prime (Miller-Rabin) test to the thirteen prime bases
-2, 3, ..., 41, which no composite below
-3,317,044,064,679,887,385,961,981 passes (Jaeschke 1993; Sorenson and
-Webster 2015), so ``is_prime`` is exact below that bound and raises
-``RangeError`` at or above it; a call costs thirteen modular powers, not
-O(sqrt n) divisions.  Quadratic residuosity is decided by raising to the
+strong-probable-prime (Miller-Rabin) test to the first k prime bases,
+where k, from 1 to 13 (2, 3, ..., 41), is the fewest that no composite
+of n's size passes (Jaeschke 1993; Sorenson and Webster 2017), so
+``is_prime`` is exact below 3,317,044,064,679,887,385,961,981 and raises
+``RangeError`` at or above it; a call costs at most thirteen modular
+powers, five at 12 digits, not O(sqrt n) divisions.  Quadratic residuosity is decided by raising to the
 power (p-1)/2 (Euler's criterion), and the sum-of-three-unit-squares search
 always returns the lexicographically least witness so that downstream
 reports are reproducible bit for bit.  That search keeps no per-prime
@@ -32,9 +32,26 @@ from .errors import RangeError, ZeroInput
 
 
 # The first thirteen primes.  Every odd composite n below _MR_BOUND fails the
-# strong-probable-prime test to at least one of them.
+# strong-probable-prime test to at least one of them: _MR_PSI[k - 1] is the
+# least composite that passes the test to the first k (Jaeschke 1993;
+# Sorenson and Webster 2017), so an n below it needs only those k.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
+_MR_PSI = (
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+    _MR_BOUND,
+)
 
 
 def is_prime(n: int) -> bool:
@@ -43,7 +60,10 @@ def is_prime(n: int) -> bool:
 
     n is first divided by the bases themselves, so an n below 41**2 that
     survives is prime.  Otherwise, with n - 1 = d * 2**s and d odd, n passes
-    base b when b**d = 1 or b**(d * 2**i) = -1 for some i < s.
+    base b when b**d = 1 or b**(d * 2**i) = -1 for some i < s, and it is
+    prime once it passes the first k bases with n below ``_MR_PSI[k - 1]``:
+    2 bases below 1,373,653, 5 below 2,152,302,898,747 and all 13 from
+    318,665,857,834,031,151,167,461 on.
     """
     n = operator.index(n)
     if n < 2:
@@ -59,16 +79,17 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for b in _MR_BASES:
+    for b, psi in zip(_MR_BASES, _MR_PSI):
         x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
     return True
 
 

@@ -774,10 +774,69 @@ def test_keyboard_interrupt_exits_130_quietly(capsys, monkeypatch):
 
 def test_no_command_is_usage_error(capsys):
     assert main([]) == 2
+    assert capsys.readouterr().err.startswith("usage: lensbordism [-h]")
 
 
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+    assert capsys.readouterr().err.startswith("usage: lensbordism [-h]")
+
+
+# Calls that ``main`` may parse with the subcommand's parser alone, or must
+# send through the full parser: help, version, usage and input errors, and
+# a few that succeed.
+DISPATCH = [
+    [],
+    ["--version"],
+    ["-h"],
+    ["frobnicate"],
+    ["--version", "lemma5"],
+    ["lemma5"],
+    ["lemma5", "-h"],
+    ["lemma5", "--min", "5"],
+    ["lemma5", "--min", "5", "--max", "x"],
+    ["lemma5", "--min", "5", "--max", "13", "-h"],
+    ["lemma5", "--min", "5", "--max", "50", "--jobs", "1", "--jobs", "2"],
+    ["orders", "--p", "5", "--bogus"],
+    ["orders", "--p", "5", "--version"],
+    ["orders", "--p", "5", "extra"],
+    ["orders", "--p", "5", "--form", "json"],
+    ["orders", "--p=5"],
+    ["orders", "--p", "5", "--format", "xml"],
+    ["orders", "--", "--p", "5"],
+    ["orders", "--p", "-5"],
+    ["orders", "--p", "9"],
+    # the full parser rejects it before the subcommand sees it
+    ["orders", "--=5"],
+    ["orders-d3", "--p", "7", "--k", "2", "--format", "json"],
+    ["groups", "--max-o", "30"],
+    ["groups", "--max-order", "30", "--out"],
+    ["groups", "--max-order", "60", "--format", "csv"],
+    ["invariants", "--p", "7", "--q", "1,2"],
+    ["invariants", "--p", "13", "--q", "2,3,4", "--format", "json"],
+    ["independent", "--p", "7", "--qa", "1,1,1", "--qb", "1,2,2", "--brute"],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH, ids=" ".join)
+def test_dispatch_matches_the_full_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = run(capsys, *argv)
+    # with no subcommand parsers to reach, main parses with the full parser
+    monkeypatch.setattr(cli, "_parser", cli.build_parser())
+    monkeypatch.setattr(cli, "_commands", {})
+    assert run(capsys, *argv) == got
+
+
+def test_valid_call_skips_the_full_parser(capsys, monkeypatch):
+    assert run(capsys, "orders", "--p", "5")[0] == 0  # the parser exists from here on
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the full parser ran")
+
+    monkeypatch.setattr(cli._parser, "parse_known_args", refuse)
+    code, out, _ = run(capsys, "lemma5", "--min", "5", "--max", "13", "--format", "csv")
+    assert code == 0 and out.startswith("p,qa1,")
 
 
 # JSON values as the standard library reads them: dicts keyed by strings,
@@ -1110,6 +1169,7 @@ def test_parser_reused_across_calls_matches_fresh_runs():
         ["lemma5", "--min", "5", "--max", "60", "--format", "json"],
         ["orders", "--p", "5", "--k", "0"],
         ["invariants", "--p", "13", "--q", "2,3,4"],
+        ["orders", "--p", "5", "--bogus"],
     ]
     script = """
 import contextlib, io, json, sys

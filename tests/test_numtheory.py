@@ -64,12 +64,54 @@ def test_is_prime_matches_trial_division_up_to_200000():
         assert is_prime(n) == _is_prime_by_trial_division(n), n
 
 
+# psi_k, the least composite that passes the strong-probable-prime test to
+# each of the first k prime bases, for k = 1 to 13 (Jaeschke 1993; Sorenson
+# and Webster 2017).
+PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+)
+BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _strong_probable_prime(n, b):
+    """Whether the odd n passes the strong test to base b, written out."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(b, d, n)
+    return x == 1 or any(pow(b, d << i, n) == n - 1 for i in range(s))
+
+
+def test_is_prime_bases_by_size_stop_at_each_psi():
+    # is_prime takes k bases below psi_k and so would accept psi_k itself
+    # with a tier of fewer bases or a higher bound
+    assert numtheory._MR_BASES == BASES
+    assert numtheory._MR_PSI == PSI
+    assert numtheory._MR_BOUND == PSI[-1]
+    for k, n in enumerate(PSI, 1):
+        assert all(_strong_probable_prime(n, b) for b in BASES[:k]), (k, n)
+        # a prime passes to every base, so failing one proves n composite
+        assert not all(_strong_probable_prime(n, b) for b in range(43, 200)), n
+
+
+@pytest.mark.parametrize("k", range(1, len(PSI)))
+def test_is_prime_agrees_with_all_bases_around_each_psi(k):
+    # the test to all thirteen bases is exact below the last bound, so the
+    # shortened one must agree with it on both sides of each tier's bound
+    psi = PSI[k - 1]
+    for n in range(psi - 300, psi + 301, 2):
+        assert is_prime(n) == all(_strong_probable_prime(n, b) for b in BASES), n
+
+
 def test_is_prime_rejects_strong_pseudoprimes(monkeypatch):
-    # Strong pseudoprimes to every prime base up to 7, 31 and 37 respectively.
-    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+    # psi_1 to psi_12; psi_13 is the bound, at which is_prime raises
+    for n in PSI[:-1]:
         assert is_prime(n) is False, n
-    # Only base 41 catches the last one.
-    monkeypatch.setattr(numtheory, "_MR_BASES", numtheory._MR_BASES[:-1])
+    # psi_12 passes the first twelve bases: only the last tier, base 41,
+    # catches it
+    monkeypatch.setattr(numtheory, "_MR_PSI", numtheory._MR_PSI[:-1])
     assert is_prime(318665857834031151167461) is True
 
 
