@@ -29,12 +29,15 @@ nonzero ``failures`` in the report's summary), 2 usage or input error,
 running out of memory, an output that cannot be written or another OS
 error, such as a failed pipe or fork (one ``error:`` line), 130
 interrupted and 141 stdout closed by its reader (neither prints anything,
-not even a traceback).  Input errors raise before the first byte of the
-report, so stdout stays empty and an ``--out`` file is neither created
-nor truncated; the same holds for an interrupt or running out of memory
-before the first byte.  After it, they leave a truncated report on stdout
-and no ``--out`` file; the ``lemma5`` sieve runs only as the entries are
-computed, so it runs out of memory after the first byte.
+not even a traceback).  An uncaught internal error, such as a ``lemma5``
+worker that ends before it returns its block, prints a traceback and
+exits 1 too; the report stops where the error came, before its summary.
+Input errors raise before the first byte of the report, so stdout stays
+empty and an ``--out`` file is neither created nor truncated; the same
+holds for an interrupt or running out of memory before the first byte.
+After it, they leave a truncated report on stdout and no ``--out`` file;
+the ``lemma5`` sieve runs only as the entries are computed, so it runs
+out of memory after the first byte.
 """
 
 from __future__ import annotations
@@ -327,11 +330,17 @@ def _lemma5_worker(pm: PrimeModulus, brute_below: int) -> dict:
 
 # Numbers per block of ``lemma5``: block k is min + k*width to
 # min + (k+1)*width - 1, cut at max, so every block is known before any
-# prime is sieved and a worker sieves only its own blocks.  Each block sieves
-# its base primes again: [5, 10^7] block by block took 1.7 s in process,
-# shared by the workers, against 0.7 s as one stream.  A wider block costs
-# less but splits the benchmark's [5, 10^4] unevenly: at 4096 it is 3 blocks
-# of 563, 463 and 201 primes, at 8192 2 blocks of 1,028 and 201.
+# prime is sieved and a worker sieves only its own blocks.  A block costs
+# more than its share of one stream, for two reasons: it sieves the base
+# primes up to isqrt(max) again, and it strikes every base prime from its
+# 4096 numbers, where one stream strikes each from 65,536 at a time.
+# Sieving only, in process, medians, one stream against block by block:
+# 49.6 against 82.5 ms at 10^6, and 396 against 1,051 ms at 10^7.  Sieving
+# the base primes again is 8 ms of the difference at 10^6 (34 us x 245
+# blocks) and 213 ms at 10^7 (87 us x 2,442 blocks); the strikes are the
+# rest.  The workers share that cost.  A wider block costs less but splits
+# the benchmark's [5, 10^4] unevenly: at 4096 it is 3 blocks of 563, 463
+# and 201 primes, at 8192 2 blocks of 1,028 and 201.
 _LEMMA5_BLOCK = 4096
 
 

@@ -1,17 +1,21 @@
-"""The pure parts of ``tools/capbench.py``: case parsing, quartiles, the
-growth-exponent fit and the layout of its JSON report.  Its runs are timed
-only where it is used; no test here times anything."""
+"""``tools/capbench.py``: case parsing, quartiles, the growth-exponent fit,
+the layout of its JSON report, its checks on malformed input, and one small
+run end to end on two sides of this checkout.  Its runs are timed only
+where it is used; no test here asserts a timing."""
 
 from __future__ import annotations
 
 import json
 import math
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "tools"))
 
 import capbench  # noqa: E402
 
@@ -92,3 +96,58 @@ def test_summary_names_failed_runs_and_differing_hashes():
         "parent: groups --max-order 10 exited [2]",
         "2 outputs of lemma5 --max 100 at the sides and --jobs run",
     ]
+
+
+def test_summary_of_one_side():
+    cases = [
+        {"caps": {}, "argv": f"lemma5 --max 100 --jobs {jobs}".split(),
+         "runs": {"ci": _runs([1.0], 10.0, sha)}, "sides": {}}
+        for jobs, sha in ((1, "a" * 64), (2, "b" * 64))
+    ]
+    fits, problems = capbench.summarise(cases, ["ci"])
+    assert [list(case["sides"]) for case in cases] == [["ci"], ["ci"]]
+    assert cases[1]["sides"]["ci"]["sha256"] == ["b" * 64]
+    assert problems == ["2 outputs of lemma5 --max 100 at the sides and --jobs run"]
+    # one size of --max: no ladder
+    assert fits == []
+
+
+def _no_process(*args, **kwargs):
+    raise AssertionError("a process was started")
+
+
+CASE = "lemma5 --max 10"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--side", f"a={REPO}", "--rounds", "0", CASE], "--rounds must be at least 1, not 0"),
+    (["--side", f"a={REPO}", "--rounds", "-1", CASE], "--rounds must be at least 1, not -1"),
+    (["--side", "foo", CASE], "--side 'foo' is not NAME=TREE"),
+    (["--side", f"a={REPO}", "--side", "a=../p", CASE], "--side 'a' given twice"),
+    (["--side", "a={tmp}", CASE], "no src/lensbordism/cli.py in {tmp}"),
+    (["--side", f"a={REPO}", "LEMMA5_MAX=10"], "case 'LEMMA5_MAX=10': no command after the caps"),
+    (["--side", f"a={REPO}", "LEMMA5_MAX=x " + CASE], "case 'LEMMA5_MAX=x lemma5 --max 10': invalid literal"),
+])
+def test_malformed_input_exits_2_before_any_process(args, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(subprocess, "run", _no_process)
+    monkeypatch.setattr(subprocess, "Popen", _no_process)
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exit_info:
+        capbench.main(["--out", str(out), *(arg.format(tmp=tmp_path) for arg in args)])
+    assert exit_info.value.code == 2
+    assert message.format(tmp=tmp_path) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.skipif(shutil.which("timeout") is None, reason="needs coreutils timeout")
+def test_two_sides_of_this_checkout_end_to_end(tmp_path):
+    out = tmp_path / "caps.json"
+    argv = ["--side", f"a={REPO}", "--side", f"b={REPO}", "--rounds", "1", "--out", str(out)]
+    assert capbench.main([*argv, "lemma5 --min 5 --max 100"]) == 0
+    report = json.loads(out.read_text())
+    assert (report["rounds"], report["sides"], report["problems"], report["ladders"]) == (1, ["a", "b"], [], [])
+    (case,) = report["cases"]
+    assert case["argv"] == ["lemma5", "--min", "5", "--max", "100"]
+    rows = case["sides"]
+    assert rows["a"]["exits"] == rows["b"]["exits"] == [0]
+    assert len(rows["a"]["sha256"]) == 1 and rows["a"]["sha256"] == rows["b"]["sha256"]

@@ -22,7 +22,10 @@ the sha256 of stdout.  The hashes must agree across rounds, sides and
 ``--jobs`` values; for each ladder of cases that differ only in
 ``--max`` or ``--max-order`` it fits the growth exponent of the median
 wall time and peak.  The exit status is 1 when a run failed or two
-hashes differ, 0 otherwise; the JSON is written either way.
+hashes differ, 0 otherwise; the JSON is written either way.  Malformed
+input (a round count below 1, a side that is not NAME=TREE, a repeated
+side name, a tree without ``src/lensbordism/cli.py``, a case without a
+command) exits 2 before any process starts.
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ def parse_case(text: str) -> tuple[dict[str, int], list[str]]:
         name, value = words.pop(0).split("=")
         caps[name] = int(value)
     if not words:
-        raise ValueError(f"case without a command: {text!r}")
+        raise ValueError("no command after the caps")
     return caps, words
 
 
@@ -196,11 +199,25 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out", required=True, help="the JSON report to write")
     ap.add_argument("cases", nargs="+", metavar="CASE", help='"[CAP=N ...] command args ..."')
     ns = ap.parse_args(argv)
-    trees = {name: Path(tree).resolve() for name, tree in (s.split("=", 1) for s in ns.side)}
+    if ns.rounds < 1:
+        ap.error(f"--rounds must be at least 1, not {ns.rounds}")
+    trees = {}
+    for side in ns.side:
+        name, sep, tree = side.partition("=")
+        if not (sep and name and tree):
+            ap.error(f"--side {side!r} is not NAME=TREE")
+        if name in trees:
+            ap.error(f"--side {name!r} given twice")
+        trees[name] = Path(tree).resolve()
+        if not (trees[name] / "src" / "lensbordism" / "cli.py").is_file():
+            ap.error(f"--side {side!r}: no src/lensbordism/cli.py in {trees[name]}")
     sides = list(trees)
     cases = []
     for text in ns.cases:
-        caps, args = parse_case(text)
+        try:
+            caps, args = parse_case(text)
+        except ValueError as e:
+            ap.error(f"case {text!r}: {e}")
         cases.append({"caps": caps, "argv": args, "runs": {side: [] for side in sides}, "sides": {}})
     print("PYTHONDONTWRITEBYTECODE unset on every run; one untimed import per side writes "
           "the bytecode cache", flush=True)
