@@ -17,12 +17,16 @@ a failure record that holds it, while a ``groups`` entry is the walk's
 (m, n, r, sylow) tuple as ``_presentations`` yields it, which only its
 three renderers read.
 
-``main`` parses a call whose first argument names a subcommand with that
-subcommand's parser alone (``_parse``).  It goes through the full parser
-only where that one leaves arguments unrecognized, where an argument
-begins with ``--=``, or where the first argument is no subcommand (none,
-``--version``, ``-h`` or an unknown name), so every call gets the full
-parser's output and errors.
+``main`` parses a call (``_parse``) in one of two ways.  A well-formed
+call is parsed directly from the subcommand's argparse actions
+(``_parse_direct``): its first argument names a subcommand and every later
+one is either one of that subcommand's option strings, in full, or the
+value of the option before it, which does not begin with ``-``.  Each
+value is converted by its action's ``type`` and checked against its
+``choices``, and the defaults are filled in.  Any other call, and one that
+fails a check or leaves out a required option, goes through the full
+parser, so help, usage lines, errors and abbreviations are argparse's own,
+and every call gets the namespace that the full parser would give it.
 
 Exit codes: 0 success, 1 verification failure or oracle disagreement (a
 nonzero ``failures`` in the report's summary), 2 usage or input error,
@@ -742,8 +746,9 @@ def build_parser() -> argparse.ArgumentParser:
     return _build_parsers()[0]
 
 
-def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The full parser and, by name, the subcommand parsers inside it."""
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Action]]]:
+    """The full parser and, by subcommand name, that subcommand's option
+    strings mapped to the actions ``add_argument`` returned for them."""
     parser = argparse.ArgumentParser(
         prog="lensbordism",
         description=(
@@ -755,96 +760,155 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    actions = {}
     lemma5 = sub.add_parser(
         "lemma5",
         help="verify an independent generator pair exists for every prime in range",
     )
-    lemma5.add_argument("--min", type=int, required=True, help="first prime bound (>= 5)")
-    lemma5.add_argument("--max", type=int, required=True, help="last prime bound")
-    lemma5.add_argument(
-        "--brute-below", type=int, default=31, dest="brute_below",
-        help=(
-            "cross-check primes up to this bound with the exhaustive oracle "
-            f"(default 31; at most {BRUTE_BELOW_MAX} unless --max is)"
+    actions["lemma5"] = [
+        lemma5.add_argument("--min", type=int, required=True, help="first prime bound (>= 5)"),
+        lemma5.add_argument("--max", type=int, required=True, help="last prime bound"),
+        lemma5.add_argument(
+            "--brute-below", type=int, default=31, dest="brute_below",
+            help=(
+                "cross-check primes up to this bound with the exhaustive oracle "
+                f"(default 31; at most {BRUTE_BELOW_MAX} unless --max is)"
+            ),
         ),
-    )
-    lemma5.add_argument(
-        "--jobs", type=int, default=1,
-        help=(
-            f"worker processes (0 = all cores; at most one per block of {_LEMMA5_BLOCK} numbers "
-            f"and {JOBS_PER_CORE} per core, so the determinism check can run "
-            "3 workers on any machine)"
+        lemma5.add_argument(
+            "--jobs", type=int, default=1,
+            help=(
+                f"worker processes (0 = all cores; at most one per block of {_LEMMA5_BLOCK} "
+                f"numbers and {JOBS_PER_CORE} per core, so the determinism check can run "
+                "3 workers on any machine)"
+            ),
         ),
-    )
+    ]
 
     invariants = sub.add_parser(
         "invariants", help="Q, normalized invariant pair and canonical form of one lens space"
     )
-    invariants.add_argument("--p", type=int, required=True)
-    invariants.add_argument("--q", type=_triple, required=True, metavar="a,b,c")
+    actions["invariants"] = [
+        invariants.add_argument("--p", type=int, required=True),
+        invariants.add_argument("--q", type=_triple, required=True, metavar="a,b,c"),
+    ]
 
     indep = sub.add_parser(
         "independent", help="independence verdict for two weight triples"
     )
-    indep.add_argument("--p", type=int, required=True)
-    indep.add_argument("--qa", type=_triple, required=True, metavar="a,b,c")
-    indep.add_argument("--qb", type=_triple, required=True, metavar="a,b,c")
-    indep.add_argument(
-        "--brute", action="store_true",
-        help=f"also run the exhaustive oracle (--p at most {BRUTE_MAX_P})",
-    )
+    actions["independent"] = [
+        indep.add_argument("--p", type=int, required=True),
+        indep.add_argument("--qa", type=_triple, required=True, metavar="a,b,c"),
+        indep.add_argument("--qb", type=_triple, required=True, metavar="a,b,c"),
+        indep.add_argument(
+            "--brute", action="store_true",
+            help=f"also run the exhaustive oracle (--p at most {BRUTE_MAX_P})",
+        ),
+    ]
 
     orders = sub.add_parser("orders", help="bordism orders over a cyclic group of order p**k")
-    orders.add_argument("--p", type=int, required=True)
-    orders.add_argument("--k", type=int, default=1)
+    actions["orders"] = [
+        orders.add_argument("--p", type=int, required=True),
+        orders.add_argument("--k", type=int, default=1),
+    ]
 
     orders_d3 = sub.add_parser(
         "orders-d3", help="bordism order over the metacyclic group (p**k, 3, r)"
     )
-    orders_d3.add_argument("--p", type=int, required=True)
-    orders_d3.add_argument("--k", type=int, default=1)
+    actions["orders-d3"] = [
+        orders_d3.add_argument("--p", type=int, required=True),
+        orders_d3.add_argument("--k", type=int, default=1),
+    ]
 
     groups = sub.add_parser("groups", help="enumerate odd-order presentations up to a bound")
-    groups.add_argument("--max-order", type=int, required=True, dest="max_order")
+    actions["groups"] = [
+        groups.add_argument("--max-order", type=int, required=True, dest="max_order"),
+    ]
 
-    for command in sub.choices.values():
-        command.add_argument("--format", choices=("text", "csv", "json"), default="text")
-        command.add_argument(
-            "--out", metavar="FILE", default=None, help="write to FILE instead of stdout"
-        )
-    return parser, sub.choices
+    for name, command in sub.choices.items():
+        actions[name] += [
+            command.add_argument("--format", choices=("text", "csv", "json"), default="text"),
+            command.add_argument(
+                "--out", metavar="FILE", default=None, help="write to FILE instead of stdout"
+            ),
+        ]
+    return parser, {
+        name: {option: action for action in acts for option in action.option_strings}
+        for name, acts in actions.items()
+    }
 
 
 # Built by the first ``main`` call, not at import; parsing leaves them
-# unchanged, so every later call reuses them.  ``_commands`` holds the
-# subcommand parsers of ``_parser`` by name.
+# unchanged, so every later call reuses them.  ``_options`` holds, by
+# subcommand name, the option strings of that subcommand of ``_parser``
+# and their actions, as ``_build_parsers`` returns them.
 _parser: argparse.ArgumentParser | None = None
-_commands: dict[str, argparse.ArgumentParser] = {}
+_options: dict[str, dict[str, argparse.Action]] = {}
+
+
+def _parse_direct(argv: list[str]) -> argparse.Namespace | None:
+    """What ``_parser.parse_args(argv)`` returns, built from the subcommand's
+    actions without argparse's scan of the arguments, or None.
+
+    It parses an ``argv`` whose first item names a subcommand and whose
+    every later item is either exactly one of that subcommand's option
+    strings or, after an option that takes a value, that value, which does
+    not begin with ``-``.  Each value goes through the action's ``type`` and
+    must be one of its ``choices``; an option that takes no value
+    (``--brute``) stores its ``const``; a repeated option keeps its last
+    value.  Every option not given gets its default, converted by ``type``
+    where it is a str, as argparse does.  Any other ``argv``, such as one
+    with ``-h``, an abbreviation, ``--p=5`` or a stray value, or one where
+    ``type`` rejects a value or a required option is missing, returns None,
+    for argparse to give its own help, usage line or error."""
+    options = _options.get(argv[0]) if argv else None
+    if options is None:
+        return None
+    given = {}
+    i, n = 1, len(argv)
+    try:
+        while i < n:
+            action = options.get(argv[i])
+            if action is None:
+                return None
+            if action.nargs == 0:
+                given[action] = action.const
+                i += 1
+                continue
+            if i + 1 == n or argv[i + 1][:1] == "-":
+                return None
+            value = argv[i + 1] if action.type is None else action.type(argv[i + 1])
+            if action.choices is not None and value not in action.choices:
+                return None
+            given[action] = value
+            i += 2
+        ns = argparse.Namespace(command=argv[0])
+        for action in options.values():
+            if action in given:
+                value = given[action]
+            elif action.required:
+                return None
+            else:
+                value = action.default
+                if isinstance(value, str) and action.type is not None:
+                    value = action.type(value)
+            setattr(ns, action.dest, value)
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return ns
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``_parser.parse_args(argv)``, with the work of the top-level parser
-    skipped where it cannot change the outcome.
-
-    The top-level parser hands everything after the subcommand name to that
-    subcommand's ``parse_known_args``; on its own it only rejects what the
-    subcommand leaves unrecognized, and an argument that begins with ``--=``
-    (ambiguous between its ``--help`` and ``--version``).  So when
-    ``argv[0]`` names a subcommand and no argument begins with ``--=``, the
-    subcommand parses the rest, and only what it leaves unrecognized sends
-    ``argv`` through the full parser, for the same error."""
-    command = _commands.get(argv[0]) if argv else None
-    if command is not None and not any(arg.startswith("--=") for arg in argv):
-        ns, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not rest:
-            return ns
-    return _parser.parse_args(argv)
+    """``_parser.parse_args(argv)``: ``_parse_direct`` where it gives a
+    namespace, else the full parser."""
+    ns = _parse_direct(argv)
+    return _parser.parse_args(argv) if ns is None else ns
 
 
 def main(argv: list[str] | None = None) -> int:
-    global _parser, _commands
+    global _parser, _options
     if _parser is None:
-        _parser, _commands = _build_parsers()
+        _parser, _options = _build_parsers()
     try:
         ns = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
@@ -853,7 +917,7 @@ def main(argv: list[str] | None = None) -> int:
     handler = globals()["cmd_" + ns.command.replace("-", "_")]
     try:
         report = handler(ns)
-        if ns.out:
+        if ns.out is not None:
             _write_file(report, ns.command, ns.format, ns.out)
         else:
             _write_report(report, ns.command, ns.format, sys.stdout)
@@ -867,7 +931,7 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         return EXIT_INTERRUPTED
     except OSError as exc:  # an output that cannot be written, or a failed pipe or fork
-        if not ns.out:
+        if ns.out is None:
             # what stdout still buffers goes to os.devnull, so the flush at
             # exit cannot fail again
             try:

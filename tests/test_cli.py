@@ -1,5 +1,7 @@
 """Tests for the command line front end."""
 
+import argparse
+import contextlib
 import errno
 import io
 import json
@@ -8,9 +10,11 @@ import pickle
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -815,28 +819,140 @@ DISPATCH = [
     ["invariants", "--p", "7", "--q", "1,2"],
     ["invariants", "--p", "13", "--q", "2,3,4", "--format", "json"],
     ["independent", "--p", "7", "--qa", "1,1,1", "--qb", "1,2,2", "--brute"],
+    # each stops the direct parse at a different check, or passes it
+    ["orders", "--p", "5", "--out", "-"],
+    ["orders", "--p", ""],
+    ["orders", "--p", "\u0665"],  # ARABIC-INDIC DIGIT FIVE, which int reads as 5
+    ["orders", "--p", "5_0"],
+    ["orders", "--p", "5", "--format", "csv", "--format", "json"],
+    ["independent", "--p", "7", "--qa", "1,1,1", "--qb", "1,2,2", "--brute", "--brute"],
+    ["invariants", "--p", "7", "--q", "1,2,3,4"],
+    ["orders", "--p", "5", "--format", "JSON"],
+    ["orders", "--p", "5", "--k"],
+    ["orders", "--p", "1" * 4301],  # beyond int's default limit of 4300 digits
 ]
 
 
+def run_in(directory, argv) -> tuple:
+    """``main(argv)`` run in ``directory``, which starts empty: its exit
+    code, stdout, stderr and the files it left there, which are removed."""
+    out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        files = {}
+        for name in sorted(os.listdir()):
+            files[name] = Path(name).read_bytes()
+            os.remove(name)
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue(), files
+
+
+def run_both(directory, argv) -> tuple:
+    """``run_in`` with the direct parse and then with the full parser alone."""
+    parser, options = cli._build_parsers()
+    with mock.patch.object(cli, "_parser", parser), mock.patch.object(cli, "_options", options):
+        direct = run_in(directory, argv)
+    with mock.patch.object(cli, "_parser", parser), mock.patch.object(cli, "_options", {}):
+        full = run_in(directory, argv)
+    return direct, full
+
+
 @pytest.mark.parametrize("argv", DISPATCH, ids=" ".join)
-def test_dispatch_matches_the_full_parser(capsys, monkeypatch, argv):
+def test_dispatch_matches_the_full_parser(monkeypatch, tmp_path, argv):
     monkeypatch.setenv("COLUMNS", "80")
-    got = run(capsys, *argv)
-    # with no subcommand parsers to reach, main parses with the full parser
-    monkeypatch.setattr(cli, "_parser", cli.build_parser())
-    monkeypatch.setattr(cli, "_commands", {})
-    assert run(capsys, *argv) == got
+    direct, full = run_both(tmp_path, argv)
+    assert direct == full
+
+
+# Argv lists for the direct parse: a subcommand, then its options in any
+# order, required ones mostly, others half the time, each but ``--brute``
+# followed by a value of its type or, a quarter of the time, by one that
+# may be wrong or look like an option.  Half of them get up to three more
+# tokens put anywhere: another subcommand's option, an abbreviation, a word
+# that argparse reads itself or another value.
+_PARSER, _ACTIONS = cli._build_parsers()
+_VALUES = st.integers(-3, 45).map(str) | st.sampled_from(
+    ["", "-", "--", "--=5", "1,2,3", "1,1,1", "2,3,4", "1,2", "-1,2,3", "json", "xml", "csv"]
+)
+_OTHER = st.sampled_from(
+    sorted({option for table in _ACTIONS.values() for option in table})
+    + ["--m", "--max-o", "--brute-b", "--j", "--for", "--o", "--h", "-h", "--version"]
+) | _VALUES
+
+
+def _typed_values(action):
+    if action.choices:
+        return st.sampled_from(action.choices)
+    if action.type is int:
+        return st.integers(0, 45).map(str)
+    if action.type is cli._triple:
+        return st.sampled_from(["1,2,3", "1,1,1", "2,3,4", "1,2,2"])
+    return st.sampled_from(["report", "json"])  # --out
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_ACTIONS)))
+    argv = [command]
+    for option in draw(st.permutations(sorted(_ACTIONS[command]))):
+        action = _ACTIONS[command][option]
+        if not draw(st.sampled_from([True] * (5 if action.required else 1) + [False])):
+            continue
+        argv.append(option)
+        if action.nargs != 0:
+            typed = _typed_values(action)
+            argv.append(draw(st.one_of(typed, typed, typed, _VALUES)))
+    for token in draw(st.lists(_OTHER, max_size=3) | st.just([])):
+        argv.insert(draw(st.integers(1, len(argv))), token)
+    return argv
+
+
+@given(_argvs())
+@example(["orders", "--p", "5", "--format", "json"])
+@example(["independent", "--brute", "--qb", "1,1,1", "--p", "7", "--qa", "1,2,3", "--brute"])
+@example(["lemma5", "--max", "40", "--jobs", "0", "--min", "5", "--brute-below", "40"])
+@example(["groups", "--max-order", "30", "--out", "json"])
+@example(["orders", "--p", "5", "--out", ""])
+def test_direct_parse_matches_the_full_parser(argv):
+    with mock.patch.object(cli, "_options", _ACTIONS):
+        ns = cli._parse_direct(argv)
+    if ns is not None:
+        assert ns == _PARSER.parse_args(argv)
+    with mock.patch.dict(os.environ, COLUMNS="80"), tempfile.TemporaryDirectory() as directory:
+        direct, full = run_both(directory, argv)
+    assert direct == full
 
 
 def test_valid_call_skips_the_full_parser(capsys, monkeypatch):
-    assert run(capsys, "orders", "--p", "5")[0] == 0  # the parser exists from here on
-
     def refuse(*args, **kwargs):
-        raise AssertionError("the full parser ran")
+        raise AssertionError("argparse parsed the call")
 
-    monkeypatch.setattr(cli._parser, "parse_known_args", refuse)
+    # no parser, full or of a subcommand, may parse these
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
     code, out, _ = run(capsys, "lemma5", "--min", "5", "--max", "13", "--format", "csv")
     assert code == 0 and out.startswith("p,qa1,")
+    code, out, _ = run(capsys, "orders", "--p", "5", "--k", "2", "--format", "json")
+    assert code == 0 and json.loads(out)["params"] == {"p": 5, "k": 2}
+    code, out, _ = run(capsys, "invariants", "--p", "13", "--q", "2,3,4")
+    assert code == 0 and out.startswith("p=13 weights=(2,3,4)\n")
+    code, out, _ = run(
+        capsys, "independent", "--p", "7", "--qa", "1,1,1", "--qb", "1,2,2", "--brute"
+    )
+    assert code == 0 and out.endswith("(agree)\n")
+    # a call that argparse must parse reaches it
+    with pytest.raises(AssertionError, match="argparse parsed the call"):
+        main(["orders", "--p", "-5"])
+
+
+def test_empty_out_path_is_an_output_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "orders", "--p", "5", "--out", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
 
 
 # JSON values as the standard library reads them: dicts keyed by strings,
