@@ -4,18 +4,18 @@ Each ``cmd_<name>`` handler runs its input checks, and every eager step
 that can raise an input error, then returns a ``Report``: the params, an
 iterator over the entries and one text, one CSV and one JSON formatter per
 entry.  ``main`` streams it with ``_write_report`` to stdout or ``--out``
-as text, CSV or JSON, entry by entry as they are computed, and builds only
-the format asked for.  JSON output is always the object {version,
-command, params, entries, summary}, byte for byte as the standard ``json``
-module writes it with an indent of 2.  The many entries of ``lemma5`` and
-``groups`` are rendered by one f-string each, laid out as the entry
-(``_lemma5_json``, ``_groups_json``); everything else, the single entries
-of the other commands, the params, the summary and the stderr dicts, by
-the generic ``_json``.  An entry is a dict only where generic code reads
-it: a ``lemma5`` entry is, as ``_spread`` writes its CSV row and ``_json``
-a failure record that holds it, while a ``groups`` entry is the walk's
-(m, n, r, sylow) tuple as ``_presentations`` yields it, which only its
-three renderers read.
+(``-`` is stdout) as text, CSV or JSON, entry by entry as they are
+computed, and builds only the format asked for.  JSON output is always the
+object {version, command, params, entries, summary}, byte for byte as the
+standard ``json`` module writes it with an indent of 2.  The many entries
+of ``lemma5`` and ``groups`` are rendered by one f-string each, laid out
+as the entry (``_lemma5_json``, ``_groups_json``); everything else, the
+single entries of the other commands, the params, the summary and the
+stderr dicts, by the generic ``_json``.  An entry is a dict only where
+generic code reads it: a ``lemma5`` entry is, as ``_spread`` writes its
+CSV row and ``_json`` a failure record that holds it, while a ``groups``
+entry is the walk's (m, n, r, sylow) tuple as ``_presentations`` yields
+it, which only its three renderers read.
 
 ``main`` parses a call (``_parse``) in one of two ways.  A well-formed
 call is parsed directly from the subcommand's argparse actions
@@ -471,7 +471,9 @@ def cmd_lemma5(ns) -> Report:
         )
     if ns.jobs < 0:
         raise ValueError("--jobs must be nonnegative")
-    cpus = os.cpu_count() or 1
+    # every machine has a core, so the cores are counted only where the cap
+    # or --jobs 0 needs them
+    cpus = 1 if 0 < ns.jobs <= JOBS_PER_CORE else os.cpu_count() or 1
     if ns.jobs > JOBS_PER_CORE * cpus:
         raise ValueError(
             f"--jobs must be at most {JOBS_PER_CORE * cpus} "
@@ -829,7 +831,8 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argpa
         actions[name] += [
             command.add_argument("--format", choices=("text", "csv", "json"), default="text"),
             command.add_argument(
-                "--out", metavar="FILE", default=None, help="write to FILE instead of stdout"
+                "--out", metavar="FILE", default=None,
+                help="write to FILE instead of stdout (- is stdout)",
             ),
         ]
     return parser, {
@@ -917,7 +920,7 @@ def main(argv: list[str] | None = None) -> int:
     handler = globals()["cmd_" + ns.command.replace("-", "_")]
     try:
         report = handler(ns)
-        if ns.out is not None:
+        if ns.out not in (None, "-"):
             _write_file(report, ns.command, ns.format, ns.out)
         else:
             _write_report(report, ns.command, ns.format, sys.stdout)
@@ -931,7 +934,7 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         return EXIT_INTERRUPTED
     except OSError as exc:  # an output that cannot be written, or a failed pipe or fork
-        if ns.out is None:
+        if ns.out in (None, "-"):
             # what stdout still buffers goes to os.devnull, so the flush at
             # exit cannot fail again
             try:

@@ -10,17 +10,20 @@ powers, five at 12 digits, not O(sqrt n) divisions.  Quadratic residuosity is de
 power (p-1)/2 (Euler's criterion), and the sum-of-three-unit-squares search
 always returns the lexicographically least witness so that downstream
 reports are reproducible bit for bit.  That search keeps no per-prime
-state: each candidate remainder is tested with Euler's criterion and, when
-it is a square, one Adleman-Manders-Miller root (``_root_mod``, also the
-package's cube roots) gives both of its roots, so a call costs a few
+state: a candidate remainder that is a square as an integer, c**2, has the
+roots c and p - c at once; any other is tested with Euler's criterion and,
+when it is a square, one Adleman-Manders-Miller root (``_root_mod``, also
+the package's cube roots) gives both of its roots, so a call costs a few
 O(log p) modular powers per candidate rather than an O(p) table of roots.
 Residues and primes are ints: a prime is tested once, by the one rule
 ``_prime_modulus``, and then passed on as a ``PrimeModulus``, an int.
-Ranges of primes come from one segmented sieve, ``_prime_stream``: it
-sieves the base primes up to the square root of the range's end, then
-strikes their multiples from one window of the range at a time and yields
-each prime as it is found, so a range holds one window in memory and a
-range far from 2 is not sieved from 2; ``primes_in_range`` is its list.
+Ranges of primes come from ``_prime_stream``: a range too narrow to repay
+a sieve's set-up is tested number by number with ``is_prime``, and any
+other is a segmented sieve, which sieves the base primes up to the square
+root of the range's end, then strikes their multiples from one window of
+the range at a time and yields each prime as it is found, so a range holds
+one window in memory and a range far from 2 is not sieved from 2;
+``primes_in_range`` is its list.
 """
 
 from __future__ import annotations
@@ -196,10 +199,18 @@ _SIEVE_WINDOW = 1 << 16
 
 def _prime_stream(lo: int, hi: int):
     """The primes in [lo, hi], ascending, each yielded as a ``PrimeModulus``
-    as it is sieved, so that it is not tested again.
+    as it is found, so that it is not tested again.
 
-    A segmented sieve of Eratosthenes: it sieves the base primes up to
-    isqrt(hi), then strikes their multiples from one window of
+    A narrow range, one where hi - lo times bit_length(hi)**2 is below
+    48 * isqrt(hi) + 8192, is tested number by number with ``is_prime``,
+    which is exact there.  The sieve's set-up, the base primes and one
+    strike each, grows as isqrt(hi), and a test as the square of hi's bits
+    (its bases times the bits of each power), so the rule takes the cheaper
+    way, and one prime near 10^5 costs a few microseconds, not a sieve.  A
+    range at or above ``is_prime``'s bound is always sieved.
+
+    Any other range is a segmented sieve of Eratosthenes: it sieves the base
+    primes up to isqrt(hi), then strikes their multiples from one window of
     ``_SIEVE_WINDOW`` numbers of [lo, hi] at a time, each from q**2 or the
     first multiple of q in the window, whichever is larger.  So it holds one
     window and the base primes, and a range far from 2 costs its width and
@@ -210,11 +221,17 @@ def _prime_stream(lo: int, hi: int):
         raise RangeError(f"empty range [{lo}, {hi}]")
     if lo < 2:
         raise ValueError("lo must be at least 2")
+    root = math.isqrt(hi)
+    # In process, both ways cost the same at a width of about 95 at 10^5, 200
+    # at 10^6, 380 at 10^7, 2,100 at 10^9 and 24,000 at 10^12; this rule
+    # switches at 80, 140, 280, 1,700 and 30,000.
+    if hi < _MR_BOUND and (hi - lo) * hi.bit_length() ** 2 < 48 * root + 8192:
+        yield from map(PrimeModulus._trusted, filter(is_prime, range(lo, hi + 1)))
+        return
     from itertools import compress  # a builtin module, loaded at start-up
 
     # the base primes by a plain sieve of [0, isqrt(hi)]: taking them from
     # this stream, recursively, made a one-prime range twice as slow
-    root = math.isqrt(hi)
     flags = bytearray([1]) * (root + 1)
     flags[:2] = b"\0\0"
     for n in range(2, math.isqrt(root) + 1):
@@ -305,17 +322,23 @@ def sum_three_unit_squares(
     units is what makes the triple usable as lens-space weights.
 
     Candidates (t1, t2) with t1 <= t2 are taken in lexicographic order.  The
-    remainder s = target - t1**2 - t2**2 is skipped when it is 0 (t3 would
-    not be a unit) or fails Euler's criterion; otherwise its roots are r and
-    p - r for one root r (``_root_mod``), and t3 is the smaller one, lo.
-    Every unit triple reorders to t1 <= t2 <= t3 with the same squares, so
-    no triple is lost, and for fixed (t1, t2) the least t3 is the least
-    triple with that prefix.  At the first hit lo >= t2 already: were
-    lo < t2, then (t1, lo), or (lo, t1) when lo < t1, would be an earlier
-    candidate with the nonzero square remainder t2**2.  So the first hit is
-    the lexicographically least triple.  Each candidate costs one modular
-    power and, for residues, one square root of O(log p) powers; no table
-    is built.  p must be a prime >= 5 (``_prime_modulus``).
+    remainder s = target - t1**2 - t2**2, in [0, p), is skipped when it is 0
+    (t3 would not be a unit).  When s is a square as an integer, c**2 with
+    c = isqrt(s) >= 1, its roots mod p are exactly c and p - c, and c is the
+    smaller since c <= isqrt(p - 1) < p / 2, so t3 = c with no Euler test
+    and no root: the same t3 as the root path gives.  Otherwise s is skipped
+    when it fails Euler's criterion, and else its roots are r and p - r for
+    one root r (``_root_mod``), and t3 is the smaller one, lo.  Every unit
+    triple reorders to t1 <= t2 <= t3 with the same squares, so no triple
+    is lost, and for fixed (t1, t2) the least t3 is the least triple with
+    that prefix.  At the first hit lo >= t2 already: were lo < t2, then
+    (t1, lo), or (lo, t1) when lo < t1, would be an earlier candidate with
+    the nonzero square remainder t2**2.  So the first hit is the
+    lexicographically least triple.  Targets 3 and 6 leave s = 1 and 4 at
+    the first candidate (1, 1), so they take no root at any p.  Any other
+    candidate costs an integer square root, one modular power and, for
+    residues, one square root of O(log p) powers; no table is built.  p
+    must be a prime >= 5 (``_prime_modulus``).
     """
     p = _prime_modulus(p, 5)
     t = _residue(target, p)
@@ -324,8 +347,11 @@ def sum_three_unit_squares(
         s1 = (t - t1 * t1) % p
         for t2 in range(t1, p):
             s = (s1 - t2 * t2) % p
-            if s == 0 or pow(s, half, p) != 1:
-                continue
-            r = _root_mod(s, p, 2)
-            return (t1, t2, min(r, p - r))
+            c = math.isqrt(s)
+            if c * c == s:  # its roots are c and p - c, and c < p - c
+                if c:
+                    return (t1, t2, c)
+            elif pow(s, half, p) == 1:
+                r = _root_mod(s, p, 2)
+                return (t1, t2, min(r, p - r))
     return None

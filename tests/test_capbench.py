@@ -1,7 +1,7 @@
 """``tools/capbench.py``: case parsing, quartiles, the growth-exponent fit,
 the layout of its JSON report, its checks on malformed input, and one small
-run end to end on two sides of this checkout.  Its runs are timed only
-where it is used; no test here asserts a timing."""
+run end to end on two sides of a copy of this checkout's ``src/``.  Its runs
+are timed only where it is used; no test here asserts a timing."""
 
 from __future__ import annotations
 
@@ -141,8 +141,12 @@ def test_malformed_input_exits_2_before_any_process(args, message, tmp_path, mon
 
 @pytest.mark.skipif(shutil.which("timeout") is None, reason="needs coreutils timeout")
 def test_two_sides_of_this_checkout_end_to_end(tmp_path):
+    # capbench writes each side's bytecode cache, so both sides run on a copy
+    # of src/ and the checkout is left without one
+    tree = tmp_path / "tree"
+    shutil.copytree(REPO / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
     out = tmp_path / "caps.json"
-    argv = ["--side", f"a={REPO}", "--side", f"b={REPO}", "--rounds", "1", "--out", str(out)]
+    argv = ["--side", f"a={tree}", "--side", f"b={tree}", "--rounds", "1", "--out", str(out)]
     assert capbench.main([*argv, "lemma5 --min 5 --max 100"]) == 0
     report = json.loads(out.read_text())
     assert (report["rounds"], report["sides"], report["problems"], report["ladders"]) == (1, ["a", "b"], [], [])

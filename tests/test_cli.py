@@ -168,6 +168,29 @@ class TestLemma5:
             with pytest.raises(AssertionError, match="sieve or worker started"):
                 main(["lemma5", "--min", "5", "--max", "13", "--jobs", jobs])
 
+    def test_jobs_up_to_the_per_core_cap_count_no_cores(self, capsys, monkeypatch):
+        # every machine has a core, so --jobs 1 to JOBS_PER_CORE never asks
+        def refuse():
+            raise AssertionError("cores counted")
+
+        # two blocks, so --jobs 2 and above fork
+        argv = ("lemma5", "--min", "5", "--max", "6000", "--format", "json")
+        expected = run(capsys, *argv)
+        assert expected[0] == 0
+        monkeypatch.setattr(cli.os, "cpu_count", refuse)
+        for jobs in range(1, cli.JOBS_PER_CORE + 1):
+            assert run(capsys, *argv, "--jobs", str(jobs)) == expected
+        # --jobs 0 and a count above the cap of one core still count them
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+        assert run(capsys, *argv, "--jobs", "0") == expected
+        assert run(capsys, "lemma5", "--min", "5", "--max", "13", "--jobs", "5") == (
+            2, "", "error: --jobs must be at most 4 (4 per core), got 5\n"
+        )
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # not known
+        assert run(capsys, "lemma5", "--min", "5", "--max", "13", "--jobs", "5")[2] == (
+            "error: --jobs must be at most 4 (4 per core), got 5\n"
+        )
+
     def test_max_above_cap_is_input_error(self, capsys, monkeypatch):
         def no_sieve(lo, hi):
             raise AssertionError("sieve allocated")
@@ -820,6 +843,7 @@ DISPATCH = [
     ["invariants", "--p", "13", "--q", "2,3,4", "--format", "json"],
     ["independent", "--p", "7", "--qa", "1,1,1", "--qb", "1,2,2", "--brute"],
     # each stops the direct parse at a different check, or passes it
+    # "-" is stdout, and the full parser reads a value beginning with "-"
     ["orders", "--p", "5", "--out", "-"],
     ["orders", "--p", ""],
     ["orders", "--p", "\u0665"],  # ARABIC-INDIC DIGIT FIVE, which int reads as 5
@@ -945,6 +969,14 @@ def test_valid_call_skips_the_full_parser(capsys, monkeypatch):
     # a call that argparse must parse reaches it
     with pytest.raises(AssertionError, match="argparse parsed the call"):
         main(["orders", "--p", "-5"])
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_out_dash_writes_to_stdout(capsys, tmp_path, monkeypatch, fmt):
+    monkeypatch.chdir(tmp_path)
+    argv = ("lemma5", "--min", "5", "--max", "40", "--format", fmt)
+    assert run(capsys, *argv, "--out", "-") == run(capsys, *argv)
+    assert not any(tmp_path.iterdir())
 
 
 def test_empty_out_path_is_an_output_error(capsys, tmp_path, monkeypatch):
@@ -1106,6 +1138,7 @@ class TestOutputErrors:
         self.assert_error_line(python(*flags, *self.ARGV, "--out", "/dev/full"))
         with open("/dev/full", "w") as full:
             self.assert_error_line(python(*flags, *self.ARGV, stdout=full))
+            self.assert_error_line(python(*flags, *self.ARGV, "--out", "-", stdout=full))
 
     @pytest.mark.parametrize("flags", [(), ("-u",)])
     @pytest.mark.parametrize(
@@ -1118,8 +1151,18 @@ class TestOutputErrors:
     )
     def test_closed_pipe(self, argv, flags, monkeypatch):
         monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        self.assert_silent_141([*flags, "-m", "lensbordism", *argv])
+
+    @pytest.mark.parametrize("flags", [(), ("-u",)])
+    def test_closed_pipe_behind_out_dash(self, flags, monkeypatch):
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        self.assert_silent_141([*flags, "-m", "lensbordism", "groups", "--max-order", "30000",
+                                "--out", "-"])
+
+    @staticmethod
+    def assert_silent_141(args):
         with subprocess.Popen(
-            [sys.executable, *flags, "-m", "lensbordism", *argv], env=checkout_env(),
+            [sys.executable, *args], env=checkout_env(),
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         ) as proc:
             proc.stdout.readline()  # what ``| head -1`` reads before it exits

@@ -33,6 +33,10 @@ SCENARIOS = {
     "lemma5-200-nobrute": ["lemma5", "--min", "5", "--max", "200", "--brute-below", "0"],
     # a window far from 5, whose sieve starts at neither 2 nor a base prime
     "lemma5-999000": ["lemma5", "--min", "999000", "--max", "1000000"],
+    # one prime, checked at stage iii
+    "lemma5-999983": ["lemma5", "--min", "999983", "--max", "999983"],
+    # a window with no prime in it: nothing checked, exit 0
+    "lemma5-999984": ["lemma5", "--min", "999984", "--max", "1000000"],
     "lemma5-inverted": ["lemma5", "--min", "10", "--max", "9"],
     "lemma5-exhausted": ["lemma5", "--min", "5", "--max", "13"],
     "lemma5-disagree": ["lemma5", "--min", "5", "--max", "7"],

@@ -1,5 +1,6 @@
 """Tests for the modular arithmetic layer."""
 
+import functools
 import math
 import pickle
 import random
@@ -279,6 +280,39 @@ EDGE_WINDOWS = [
 ]
 
 
+@functools.cache
+def _division_primes(limit):
+    """The primes up to ``limit``: those that no prime up to the square root
+    of ``limit`` divides (``_trial_division_primes``), struck out as the
+    multiples of each such prime; no package code."""
+    composite = set()
+    for d in _trial_division_primes(2, math.isqrt(limit)):
+        composite.update(range(d * d, limit + 1, d))
+    return [n for n in range(2, limit + 1) if n not in composite]
+
+
+def _primes_by_division(lo, hi):
+    """The primes in [lo, hi]: the numbers there that no prime up to
+    isqrt(hi) divides, other than those primes themselves.  Each divisor
+    strikes its own multiples from the window, so a window at 10**12 costs
+    a few of its widths rather than a division by each prime up to 10**6
+    for every prime in it."""
+    composite, root = set(), math.isqrt(hi)
+    for d in _division_primes(1 << root.bit_length()):  # few lists, each kept
+        if d > root:
+            break
+        composite.update(range(max(d * d, lo + -lo % d), hi + 1, d))
+    return [n for n in range(max(lo, 2), hi + 1) if n not in composite]
+
+
+# Heights of ``_prime_stream`` windows, each with twice the width at which it
+# stops testing each number with ``is_prime`` and sieves instead.
+CROSSOVER_HEIGHTS = {
+    10**2: 100, 10**3: 200, 10**4: 140, 10**5: 160, 10**6: 280,
+    10**7: 560, 10**9: 3400, 10**12: 60000,
+}
+
+
 class TestPrimeStream:
     """``_prime_stream`` against ``_trial_division_primes``, which shares no
     code with it."""
@@ -309,6 +343,39 @@ class TestPrimeStream:
         primes = list(_prime_stream(999000, 1000000))
         assert len(primes) == 65
         assert all(type(p) is PrimeModulus for p in primes)
+
+    def test_both_paths_around_the_crossover_up_to_10_to_the_12(self, monkeypatch):
+        """Random windows of every width up to twice the crossover, and edge
+        windows, at each height: both the ``is_prime`` path and the sieve
+        run at every height from 10**3, and both give the division list."""
+        calls = []
+        real = numtheory.is_prime
+        monkeypatch.setattr(numtheory, "is_prime", lambda n: calls.append(n) or real(n))
+        rng = random.Random(32)
+        for height, widths in CROSSOVER_HEIGHTS.items():
+            square = _division_primes(math.isqrt(height))[-1] ** 2
+            # the widest gap between the primes of [height, height + 3000]
+            above = _primes_by_division(height, height + 3000)
+            _, a, b = max((b - a, a, b) for a, b in zip(above, above[1:]))
+            windows = [
+                (height, height), (square, square), (square - 1, square + 1),
+                (square, square + 20), (max(2, square - widths), square),
+                (a + 1, b - 1), (a, b),
+            ]
+            if height <= 10**3:
+                windows += [(lo, hi) for lo in (2, 3) for hi in (lo, height // 2, height)]
+            count = {10**9: 12, 10**12: 6}.get(height, 40)
+            for _ in range(count):
+                hi = rng.randrange(height, 2 * height)
+                windows.append((max(2, hi - rng.randint(0, widths)), hi))
+            paths = set()
+            for lo, hi in windows:
+                calls.clear()
+                primes = list(_prime_stream(lo, hi))
+                assert all(type(p) is PrimeModulus for p in primes)
+                assert primes == _primes_by_division(lo, hi), (lo, hi)
+                paths.add("is_prime" if calls else "sieve")
+            assert height == 10**2 or paths == {"is_prime", "sieve"}
 
     def test_lazy_and_checked_at_the_first_prime(self):
         stream = _prime_stream(10, 9)  # nothing is sieved or checked yet
@@ -383,6 +450,51 @@ class TestSumThreeUnitSquares:
                 assert sum_three_unit_squares(target, pm) == (
                     _sum_three_unit_squares_by_table(target, p, roots)
                 ), (p, target)
+
+
+class _NoIntegerSquares:
+    """Stands in for ``math`` in ``numtheory``: isqrt(s) is s + 1, whose
+    square is never s, so ``sum_three_unit_squares`` takes every remainder
+    through Euler's test and ``_root_mod``: the root path alone."""
+
+    @staticmethod
+    def isqrt(s):
+        return s + 1
+
+
+class TestSquareShortcut:
+    """A remainder that is a square as an integer, c**2, has the roots c and
+    p - c; the shortcut returns c without a root and must give the triple
+    that the root path gives."""
+
+    @staticmethod
+    def both_ways(monkeypatch, cases):
+        shortcut = [sum_three_unit_squares(t, pm) for t, pm in cases]
+        with monkeypatch.context() as patch:
+            patch.setattr(numtheory, "math", _NoIntegerSquares)
+            roots = [sum_three_unit_squares(t, pm) for t, pm in cases]
+        return shortcut, roots
+
+    def test_every_target_at_every_prime_up_to_2000(self, monkeypatch):
+        cases = [(t, pm) for pm in primes_in_range(5, 2000) for t in range(pm)]
+        assert len(cases) == 277_045
+        shortcut, roots = self.both_ways(monkeypatch, cases)
+        assert shortcut == roots
+
+    def test_lemma5_targets_at_every_prime_up_to_20000(self, monkeypatch):
+        targets = [3, 6, 2, *(1 + j * j for j in range(1, 31))]
+        cases = [(t, pm) for pm in primes_in_range(5, 20_000) for t in targets]
+        shortcut, roots = self.both_ways(monkeypatch, cases)
+        assert shortcut == roots
+
+    def test_stage_i_and_stage_ii_q_take_no_root(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("root taken")
+
+        monkeypatch.setattr(numtheory, "_root_mod", refuse)
+        for pm in primes_in_range(5, 5000):
+            assert sum_three_unit_squares(3, pm) == (1, 1, 1)
+            assert sum_three_unit_squares(6, pm) == (1, 1, 2)
 
 
 class TestSqrtMod:
