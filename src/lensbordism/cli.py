@@ -1,21 +1,34 @@
 """Batch command line front end.
 
 Each ``cmd_<name>`` handler runs its input checks, and every eager step
-that can raise an input error, then returns a ``Report``: the params, an
-iterator over the entries and one text, one CSV and one JSON formatter per
-entry.  ``main`` streams it with ``_write_report`` to stdout or ``--out``
-(``-`` is stdout) as text, CSV or JSON, entry by entry as they are
-computed, and builds only the format asked for.  JSON output is always the
-object {version, command, params, entries, summary}, byte for byte as the
-standard ``json`` module writes it with an indent of 2.  The many entries
-of ``lemma5`` and ``groups`` are rendered by one f-string each, laid out
-as the entry (``_lemma5_json``, ``_groups_json``); everything else, the
-single entries of the other commands, the params, the summary and the
-stderr dicts, by the generic ``_json``.  An entry is a dict only where
-generic code reads it: a ``lemma5`` entry is, as ``_spread`` writes its
-CSV row and ``_json`` a failure record that holds it, while a ``groups``
-entry is the walk's (m, n, r, sylow) tuple as ``_presentations`` yields
-it, which only its three renderers read.
+that can raise an input error, then returns a ``Report``: the params as
+JSON text, an iterable of the entries and one text, one CSV and one JSON
+formatter per entry.  ``main`` streams it with ``_write_report`` to stdout
+or ``--out`` (``-`` is stdout) as text, CSV or JSON, entry by entry as
+they are computed, and builds only the format asked for.  JSON output is
+always the object {version, command, params, entries, summary}, byte for
+byte as the standard ``json`` module writes it with an indent of 2, and
+it is written by f-strings laid out as what they write.  Each handler
+writes its params (an int list through ``_json_list``); each command has
+its own entry writer (``_lemma5_json``, ``_invariants_json``,
+``_independent_json``, ``_orders_json``, ``_orders_d3_json`` and
+``_groups_json``, with ``_scalar`` for a value that may be a str, a bool
+or null); and ``_write_report`` writes the version, command, the frame
+around the entries and the summary, a flat dict of ints.  The generic,
+recursive ``_json`` writes only the dicts sent to stderr, such as a
+``lemma5`` failure record, and is the tests' oracle for the f-strings.
+An entry is a dict only where generic code reads it: a ``lemma5`` entry
+is, as ``_spread`` writes its CSV row and ``_json`` a failure record that
+holds it, while a ``groups`` entry is the walk's (m, n, r, sylow) tuple as
+``_presentations`` yields it, which only its three renderers read.
+
+``invariants`` and ``independent`` check p and the weights once, by
+``LensSpace``, and then work on ints, as ``lemma5`` does: the canonical
+form through ``lens._canonical`` and the verdict through
+``lens._dependence_free``; the oracle of ``independent --brute`` is the
+one place they build ``PontrjaginPair`` records.  A one-number ``lemma5``
+range is tested and searched before the report starts, with no prime
+stream, and only a text report formats its closing line.
 
 ``main`` parses a call (``_parse``) in one of two ways.  A well-formed
 call is parsed directly from the subcommand's argparse actions
@@ -57,14 +70,15 @@ from .errors import LensBordismError, SearchExhausted, Unspecified
 from .groups import _d_pk3, _presentations, _theorem1_order
 from .lens import (
     LensSpace,
+    _canonical,
+    _dependence_free,
     _generator_pair,
-    canonical_form,
     independent,
     independent_bruteforce,
     pontrjagin_pair,
     q_sum,
 )
-from .numtheory import PrimeModulus, _prime_stream
+from .numtheory import PrimeModulus, _prime_modulus, _prime_stream, is_prime
 from .orders import (
     bordism_order_cyclic,
     bordism_order_metacyclic_d3,
@@ -84,11 +98,11 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a write to a closed 
 # sieve holds one window and the primes up to isqrt(--max), while the
 # `groups` smallest-prime-factor table grows about linearly with its bound
 # (reports and presentations are streamed).  At these bounds a JSON run
-# peaked at 14.5-14.7 MB (``lemma5``, near the 14.1 MB of a one-prime run)
-# and 16.7-16.8 MB (``groups``) and took 3.4-3.7 s (``lemma5 --jobs 1``),
-# 2.0-2.2 s (``--jobs 2``) and 0.7-1.1 s (``groups``) on a shared 2-core
-# machine (quartiles of 7 runs each of ``tools/capbench.py`` for ``lemma5``,
-# 3 runs of ``groups``; Python 3.11).
+# peaked at 14.6-14.7 MB (``lemma5``, near the 14.1 MB of a one-prime run)
+# and 15.5-15.6 MB (``groups``) and took 1.43-1.54 s (``lemma5 --jobs 1``),
+# 0.86-0.97 s (``--jobs 2``) and 0.49-0.57 s (``groups``) on a shared
+# 2-core machine (quartiles of 7 rounds of ``tools/capbench.py``,
+# ``BENCH_33.json``; Python 3.11).
 LEMMA5_MAX = 10**6
 GROUPS_MAX_ORDER = 10**5
 # Largest `--p` accepted with `independent --brute`: the oracle is O(p) time
@@ -108,27 +122,24 @@ JOBS_PER_CORE = 4
 _quote = json.encoder.encode_basestring_ascii
 
 
+def _scalar(value) -> str:
+    """A JSON scalar as ``json.dumps`` writes it: a str, int, bool or None,
+    and any other value through ``json.dumps`` itself."""
+    if type(value) is str:
+        return _quote(value)
+    if value is None or type(value) is bool:
+        return "null" if value is None else "true" if value else "false"
+    return int.__repr__(value) if type(value) is int else json.dumps(value)
+
+
 def _json(obj, pad: str = "") -> str:
     """``obj`` as ``json.dumps`` writes it with an indent of 2, with every
     line after the first indented by ``pad``.  Dict keys must be strings.
 
-    The standard encoder indents in pure Python; this keeps its output and
-    does the same work in fewer calls, with the C string quoting.  It is
-    the writer of every JSON value except the ``lemma5`` and ``groups``
-    entries, which ``_lemma5_json`` and ``_groups_json`` write as this
-    does, 3 to 5 times faster.
+    The generic writer, for the dicts written to stderr, such as a
+    ``lemma5`` failure record, and the tests' oracle for the f-string
+    writers of the reports, which it matches byte for byte.
     """
-    kind = type(obj)
-    if kind is str:
-        return _quote(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if obj is None:
-        return "null"
     inner = pad + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -140,19 +151,15 @@ def _json(obj, pad: str = "") -> str:
             return "[]"
         items = [_json(v, inner) for v in obj]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-    return json.dumps(obj)
+    return _scalar(obj)
 
 
-def _json_entry(entry: dict) -> str:
-    """``entry`` as it sits in a report's entries list."""
-    return _json(entry, "    ")
-
-
-def _entry_list(items) -> str:
+def _json_list(items, pad: str = "      ") -> str:
     """The rendered ``items`` as ``_json`` writes a list that is the value of
-    a key in a report entry: one item per line, or ``[]``."""
-    body = ",\n        ".join(items)
-    return f"[\n        {body}\n      ]" if body else "[]"
+    a key indented by ``pad``, by default a key of a report entry: one item
+    per line, or ``[]``."""
+    body = f",\n{pad}  ".join(items)
+    return f"[\n{pad}  {body}\n{pad}]" if body else "[]"
 
 
 def _spread(entry: dict) -> list:
@@ -163,38 +170,40 @@ def _spread(entry: dict) -> list:
 class Report:
     """What one subcommand computes, for ``_write_report`` to stream.
 
-    ``entries`` is an iterable of entries, read once: dicts, as the default
-    formatters need, or any value that the given ones take, such as the
-    ``groups`` tuples.  ``to_text(entry)`` is an entry's text lines as one
-    string, ``to_row(entry)`` its CSV row
-    (by default its values, each list spread over one column per item) and
-    ``to_json(entry)`` its JSON, indented to sit in the entries list (by
-    default ``_json``); ``head`` and ``tail`` are the text lines before and
-    after the entries and ``fields`` the CSV header.  ``summary`` defaults
-    to {"failures": 0}, and the lists to new empty ones; a nonzero
-    ``summary["failures"]`` makes the exit code 1.  Iterating ``entries``
-    to its end may fill in ``summary``, ``tail`` and ``stderr`` (a dict is
-    written as JSON), so they are read only after it.
+    ``params`` is the report's params as JSON text, indented to sit in the
+    report, as each handler's f-string writes them.  ``entries`` is an
+    iterable of entries, read once: dicts, as the default CSV row needs, or
+    any value that the given formatters take, such as the ``groups``
+    tuples.  ``to_text(entry)`` is an entry's text lines as one string,
+    ``to_json(entry)`` its JSON, indented to sit in the entries list, and
+    ``to_row(entry)`` its CSV row (by default its values, each list spread
+    over one column per item); ``fields`` is the CSV header.  ``head`` is a
+    text line before the entries and ``tail`` one after them, written only
+    in text, with ``str.format_map`` over the summary; either may be empty.
+    ``summary``, a dict of ints, defaults to {"failures": 0}, and
+    ``stderr`` to a new empty list; a nonzero ``summary["failures"]`` makes
+    the exit code 1.  Iterating ``entries`` to its end may fill in
+    ``summary`` and ``stderr`` (a dict is written as JSON), so they are read
+    only after it.
     """
 
     def __init__(
         self,
-        params: dict,
+        params: str,
         entries,
         to_text,
-        fields: list[str],
+        to_json,
+        fields,
         to_row=_spread,
-        to_json=_json_entry,
-        head: list[str] | None = None,
+        head: str = "",
+        tail: str = "",
         summary: dict | None = None,
-        tail: list[str] | None = None,
         stderr: list[str | dict] | None = None,
     ) -> None:
         self.params, self.entries, self.fields = params, entries, fields
-        self.to_text, self.to_row, self.to_json = to_text, to_row, to_json
-        self.head = [] if head is None else head
+        self.to_text, self.to_json, self.to_row = to_text, to_json, to_row
+        self.head, self.tail = head, tail
         self.summary = {"failures": 0} if summary is None else summary
-        self.tail = [] if tail is None else tail
         self.stderr = [] if stderr is None else stderr
 
 
@@ -227,9 +236,9 @@ def _write_report(report: Report, command: str, fmt: str, out) -> None:
         if fmt == "json":
             write(
                 "{\n"
-                f'  "version": {_json(__version__)},\n'
-                f'  "command": {_json(command)},\n'
-                f'  "params": {_json(report.params, "  ")},\n'
+                f'  "version": {_quote(__version__)},\n'
+                f'  "command": {_quote(command)},\n'
+                f'  "params": {report.params},\n'
                 '  "entries": ['
             )
             sep, to_json = "\n    ", report.to_json
@@ -237,7 +246,8 @@ def _write_report(report: Report, command: str, fmt: str, out) -> None:
                 write(sep + to_json(entry))
                 sep = ",\n    "
             close = "]" if sep == "\n    " else "\n  ]"
-            write(f'{close},\n  "summary": {_json(report.summary, "  ")}\n}}\n')
+            summary = ",\n    ".join(f"{_quote(key)}: {n}" for key, n in report.summary.items())
+            write(f'{close},\n  "summary": {{\n    {summary}\n  }}\n}}\n')
         elif fmt == "csv":
             # imported here so text and JSON runs do not pay for it
             import csv
@@ -249,12 +259,12 @@ def _write_report(report: Report, command: str, fmt: str, out) -> None:
                 writer.writerow(to_row(entry))
         else:
             to_text = report.to_text
-            for line in report.head:
-                write(line + "\n")
+            if report.head:
+                write(report.head + "\n")
             for entry in report.entries:
                 write(to_text(entry) + "\n")
-            for line in report.tail:
-                write(line + "\n")
+            if report.tail:
+                write(report.tail.format_map(report.summary) + "\n")
     finally:
         # Entries cut short are closed here, so the forked workers behind
         # them are waited for before the report ends, not whenever the
@@ -292,11 +302,11 @@ def _triple(text: str) -> tuple[int, int, int]:
 
 
 def _lemma5_worker(pm: PrimeModulus, brute_below: int) -> dict:
-    """Verify one sieved prime; returns its entry, or a failure record with
-    ``ok`` false and a ``reason``.
+    """Verify one prime; returns its entry, or a failure record with ``ok``
+    false and a ``reason``.
 
-    The search runs on ints (``_generator_pair``); the sieve has already
-    tested ``pm``, and ``LensSpace``s are built from it only for the oracle,
+    The search runs on ints (``_generator_pair``); the prime stream, or
+    ``is_prime`` for a range of one number, has already tested ``pm``, and ``LensSpace``s are built from it only for the oracle,
     which checks the pairs of the weights found.  The records hold p as a
     plain int, as ``marshal`` needs."""
     p = int(pm)
@@ -447,8 +457,8 @@ def _lemma5_json(e: dict) -> str:
     ``_lemma5_worker`` builds them."""
     return f"""{{
       "p": {e['p']},
-      "weights_a": {_entry_list(map(str, e['weights_a']))},
-      "weights_b": {_entry_list(map(str, e['weights_b']))},
+      "weights_a": {_json_list(map(str, e['weights_a']))},
+      "weights_b": {_json_list(map(str, e['weights_b']))},
       "Q": {e['Q']},
       "R": {e['R']},
       "stage": {_quote(e['stage'])},
@@ -482,30 +492,36 @@ def cmd_lemma5(ns) -> Report:
     # 0 means one worker per core, and more than cores stay allowed, so the
     # forked path runs anywhere
     jobs = ns.jobs or cpus
+    if ns.min == ns.max:  # one number: tested here, with no stream to set up
+        prime = is_prime(ns.min)
+        results = [_lemma5_worker(PrimeModulus._trusted(ns.min), ns.brute_below)] if prime else []
+    else:
+        results = _lemma5_results(ns.min, ns.max, ns.brute_below, jobs)
 
     def entries():
         failures, checked = [], 0
-        for result in _lemma5_results(ns.min, ns.max, ns.brute_below, jobs):
+        for result in results:
             checked += 1
             if "reason" in result:
                 failures.append(result)
             else:
                 yield result
         report.summary = {"primes_checked": checked, "failures": len(failures)}
-        report.tail = [f"primes_checked={checked} failures={len(failures)}"]
         for failure in failures:
             report.stderr += [f"FAILURE p={failure['p']}: {failure['reason']}", failure]
 
     report = Report(
-        {"min": ns.min, "max": ns.max, "brute_below": ns.brute_below},
+        f'{{\n    "min": {ns.min},\n    "max": {ns.max},\n'
+        f'    "brute_below": {ns.brute_below}\n  }}',
         entries(),
         _lemma5_text,
+        _lemma5_json,
         [
             "p", "qa1", "qa2", "qa3", "qb1", "qb2", "qb3",
             "Q", "R", "stage", "certificate", "brute_checked",
         ],
-        to_json=_lemma5_json,
-        head=[f"generator pairs for primes in [{ns.min}, {ns.max}]"],
+        head=f"generator pairs for primes in [{ns.min}, {ns.max}]",
+        tail="primes_checked={primes_checked} failures={failures}",
     )
     return report
 
@@ -523,20 +539,33 @@ def _invariants_text(e: dict) -> str:
     )
 
 
+def _invariants_json(e: dict) -> str:
+    """An ``invariants`` entry as ``_json(e, "    ")`` writes it."""
+    return f"""{{
+      "p": {e['p']},
+      "weights": {_json_list(map(str, e['weights']))},
+      "Q": {e['Q']},
+      "pair": {_json_list(map(str, e['pair']))},
+      "canonical": {_json_list(map(str, e['canonical']))}
+    }}"""
+
+
 def cmd_invariants(ns) -> Report:
+    # p and the weights are checked once, by LensSpace; the rest is on ints
     lens = LensSpace(ns.p, ns.q)
-    pair = pontrjagin_pair(lens)
+    q = q_sum(lens)
     entry = {
         "p": ns.p,
         "weights": list(lens.weights),
-        "Q": q_sum(lens),
-        "pair": list(pair.values()),
-        "canonical": list(canonical_form(pair).values()),
+        "Q": q,
+        "pair": [1, q],  # pontrjagin_pair(lens), whose beta0 is 1
+        "canonical": list(_canonical(1, q, lens.p)),
     }
     return Report(
-        {"p": ns.p, "q": list(ns.q)},
+        f'{{\n    "p": {ns.p},\n    "q": {_json_list(map(str, ns.q), "    ")}\n  }}',
         [entry],
         _invariants_text,
+        _invariants_json,
         ["p", "q1", "q2", "q3", "Q", "beta0", "beta1", "canonical0", "canonical1"],
     )
 
@@ -560,31 +589,51 @@ def _independent_text(e: dict) -> str:
     )
 
 
+def _independent_json(e: dict) -> str:
+    """An ``independent`` entry as ``_json(e, "    ")`` writes it."""
+    return f"""{{
+      "p": {e['p']},
+      "weights_a": {_json_list(map(str, e['weights_a']))},
+      "weights_b": {_json_list(map(str, e['weights_b']))},
+      "Q": {e['Q']},
+      "R": {e['R']},
+      "independent": {_scalar(e['independent'])},
+      "oracle": {_scalar(e['oracle'])},
+      "agree": {_scalar(e['agree'])}
+    }}"""
+
+
 def cmd_independent(ns) -> Report:
     if ns.brute and ns.p > BRUTE_MAX_P:
         raise ValueError(f"--brute needs --p at most {BRUTE_MAX_P}, got {ns.p}")
+    # p and the weights are checked once, by LensSpace; the verdict is on
+    # ints, the slopes Q and R of two pairs whose beta0 is 1
     lens_a = LensSpace(ns.p, ns.qa)
     lens_b = LensSpace(lens_a.p, ns.qb)
-    pair_a = pontrjagin_pair(lens_a)
-    pair_b = pontrjagin_pair(lens_b)
-    verdict = independent(pair_a, pair_b)
-    oracle = independent_bruteforce(pair_a, pair_b) if ns.brute else None
+    q, r = q_sum(lens_a), q_sum(lens_b)
+    verdict = _dependence_free(_prime_modulus(lens_a.p, 5), q, r)[0]
+    oracle = None
+    if ns.brute:
+        oracle = independent_bruteforce(pontrjagin_pair(lens_a), pontrjagin_pair(lens_b))
     agree = None if oracle is None else oracle == verdict
     entry = {
         "p": ns.p,
         "weights_a": list(lens_a.weights),
         "weights_b": list(lens_b.weights),
-        "Q": q_sum(lens_a),
-        "R": q_sum(lens_b),
+        "Q": q,
+        "R": r,
         "independent": verdict,
         "oracle": oracle,
         "agree": agree,
     }
     failures = int(agree is False)
     return Report(
-        {"p": ns.p, "qa": list(ns.qa), "qb": list(ns.qb), "brute": bool(ns.brute)},
+        f'{{\n    "p": {ns.p},\n    "qa": {_json_list(map(str, ns.qa), "    ")},\n'
+        f'    "qb": {_json_list(map(str, ns.qb), "    ")},\n'
+        f'    "brute": {"true" if ns.brute else "false"}\n  }}',
         [entry],
         _independent_text,
+        _independent_json,
         [
             "p", "qa1", "qa2", "qa3", "qb1", "qb2", "qb3", "Q", "R",
             "independent", "oracle", "agree",
@@ -616,6 +665,21 @@ def _orders_text(e: dict) -> str:
     )
 
 
+def _orders_json(e: dict) -> str:
+    """An ``orders`` entry as ``_json(e, "    ")`` writes it: the lens class
+    order and group structure may be "unspecified", and the last two checks
+    "unspecified" or null."""
+    return f"""{{
+      "p": {e['p']},
+      "k": {e['k']},
+      "bordism_order": {e['bordism_order']},
+      "lens_class_order": {_scalar(e['lens_class_order'])},
+      "group_structure": {_quote(e['group_structure'])},
+      "extension_order_check": {_scalar(e['extension_order_check'])},
+      "non_splitness": {_scalar(e['non_splitness'])}
+    }}"""
+
+
 def cmd_orders(ns) -> Report:
     # tested for primality here once; the formulas take a PrimeModulus as it is
     p, k = PrimeModulus(ns.p), ns.k
@@ -644,7 +708,8 @@ def cmd_orders(ns) -> Report:
         "extension_order_check": extension,
         "non_splitness": non_split,
     }
-    return Report({"p": ns.p, "k": k}, [entry], _orders_text, list(entry))
+    params = f'{{\n    "p": {ns.p},\n    "k": {k}\n  }}'
+    return Report(params, [entry], _orders_text, _orders_json, list(entry))
 
 
 def _orders_d3_text(e: dict) -> str:
@@ -653,6 +718,20 @@ def _orders_d3_text(e: dict) -> str:
         f"group: m={e['m']} n={e['n']} r={e['r']} (order {e['group_order']})\n"
         f"bordism order: {e['bordism_order']} (cyclic)"
     )
+
+
+def _orders_d3_json(e: dict) -> str:
+    """An ``orders-d3`` entry as ``_json(e, "    ")`` writes it."""
+    return f"""{{
+      "p": {e['p']},
+      "k": {e['k']},
+      "m": {e['m']},
+      "n": {e['n']},
+      "r": {e['r']},
+      "group_order": {e['group_order']},
+      "bordism_order": {e['bordism_order']},
+      "cyclic": {_scalar(e['cyclic'])}
+    }}"""
 
 
 def cmd_orders_d3(ns) -> Report:
@@ -671,7 +750,8 @@ def cmd_orders_d3(ns) -> Report:
         "bordism_order": order,
         "cyclic": True,
     }
-    return Report({"p": ns.p, "k": ns.k}, [entry], _orders_d3_text, list(entry))
+    params = f'{{\n    "p": {ns.p},\n    "k": {ns.k}\n  }}'
+    return Report(params, [entry], _orders_d3_text, _orders_d3_json, list(entry))
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +792,7 @@ def _groups_json(e: tuple) -> str:
       "n": {n},
       "r": {r},
       "order": {m * n},
-      "sylow": {_entry_list(items)},
+      "sylow": {_json_list(items)},
       "theorem1_applies": {'true' if _theorem1_order(m * n) else 'false'}
     }}"""
 
@@ -727,16 +807,16 @@ def cmd_groups(ns) -> Report:
         for listed, presentation in enumerate(presentations, 1):
             yield presentation
         report.summary = {"groups_listed": listed, "failures": 0}
-        report.tail = [f"groups_listed={listed}"]
 
     report = Report(
-        {"max_order": ns.max_order},
+        f'{{\n    "max_order": {ns.max_order}\n  }}',
         entries(),
         _groups_text,
+        _groups_json,
         ["order", "m", "n", "r", "sylow", "theorem1_applies"],
         to_row=_groups_row,
-        to_json=_groups_json,
-        head=[f"odd-order presentations with order <= {ns.max_order}"],
+        head=f"odd-order presentations with order <= {ns.max_order}",
+        tail="groups_listed={groups_listed}",
     )
     return report
 
@@ -946,9 +1026,9 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_BROKEN_PIPE
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    sys.stderr.write(
-        "".join((line if isinstance(line, str) else _json(line)) + "\n" for line in report.stderr)
-    )
+    if report.stderr:
+        lines = (line if isinstance(line, str) else _json(line) for line in report.stderr)
+        sys.stderr.write("".join(line + "\n" for line in lines))
     return EXIT_FAILURE if report.summary["failures"] else EXIT_OK
 
 

@@ -118,7 +118,15 @@ def canonical_form(pair: PontrjaginPair) -> PontrjaginPair:
 
     Idempotent, and constant on orbits; (0, 0) is a fixed point of every
     reparametrization and is returned unchanged.  The modulus must be prime
-    (``_prime_modulus``).
+    (``_prime_modulus``); the work is done on ints by ``_canonical``.
+    """
+    p = _prime_modulus(pair.modulus)
+    return PontrjaginPair(*_canonical(pair.beta0, pair.beta1, p), p)
+
+
+def _canonical(b0: int, b1: int, p: int) -> tuple[int, int]:
+    """``canonical_form`` of (b0, b1), both reduced mod the prime p, as two
+    plain ints.
 
     Computed in closed form rather than by trying every unit k.  With
     b0 = 0 the orbit is (0, k * b1), least at (0, 1) unless b1 = 0.  Else
@@ -127,28 +135,27 @@ def canonical_form(pair: PontrjaginPair) -> PontrjaginPair:
     divide p - 1, cubing permutes the units: c = 1, and the only such k is
     b0**-e with 3e = 1 mod p - 1.  Otherwise c / b0 is a cube exactly when
     (c / b0)**((p-1)/3) = 1, and the k are k0, k0 * w and k0 * w**2 for one
-    cube root k0 (``_root_mod``) and either primitive cube root of unity w
+    cube root k0 (``_root_mod``, or 1 where c / b0 = 1, as for every pair
+    with b0 = 1) and either primitive cube root of unity w
     (``_element_of_order``): both give the same three k.  The cost is one
     modular power per c tried (the least c is small: the cubes are one of
     three cosets of equal size), one cube root and one search for w, O(log p)
     multiplications each rather than the O(p) of a scan over k.
     """
-    p = _prime_modulus(pair.modulus)
-    b0, b1 = pair.values()
     if b0 == 0:
-        return PontrjaginPair(0, 1 if b1 else 0, p)
+        return 0, 1 if b1 else 0
     if (p - 1) % 3:
-        k = pow(b0, -pow(3, -1, p - 1), p)
-        return PontrjaginPair(1, k * b1, p)
+        return 1, pow(b0, -pow(3, -1, p - 1), p) * b1 % p
     cube_test = (p - 1) // 3
     target = pow(b0, cube_test, p)
     c = 1
     while pow(c, cube_test, p) != target:
         c += 1
-    k0 = _root_mod(c * pow(b0, -1, p) % p, p, 3)
+    cube = c * pow(b0, -1, p) % p
+    k0 = 1 if cube == 1 else _root_mod(cube, p, 3)
     w = _element_of_order(p, p, 3, [3])
     x = k0 * b1 % p
-    return PontrjaginPair(c, min(x, x * w % p, x * w * w % p), p)
+    return c, min(x, x * w % p, x * w * w % p)
 
 
 def is_null_bordant(pair: PontrjaginPair) -> bool:

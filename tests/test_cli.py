@@ -7,6 +7,7 @@ import io
 import json
 import os
 import pickle
+import random
 import signal
 import subprocess
 import sys
@@ -23,7 +24,13 @@ from hypothesis import strategies as st
 from lensbordism import __version__, cli, groups, orders
 from lensbordism.cli import Report, _json, _write_report, main
 from lensbordism.groups import MetacyclicParams, sylow_structure
-from lensbordism.lens import LensSpace
+from lensbordism.lens import (
+    LensSpace,
+    canonical_form,
+    independent_bruteforce,
+    pontrjagin_pair,
+    q_sum,
+)
 from lensbordism.numtheory import PrimeModulus, _prime_stream
 from test_groups import _scan_periodic_odd
 
@@ -1014,12 +1021,18 @@ def test_json_writer_matches_json_dumps(value):
 @given(
     st.dictionaries(st.text(), JSON_VALUES, max_size=3),
     st.lists(JSON_VALUES, max_size=4),
-    st.dictionaries(st.text(), JSON_VALUES, max_size=3),
+    st.dictionaries(st.text(), st.integers(), min_size=1, max_size=3),
 )
-@example({}, [], {})
+@example({}, [], {"failures": 0})
 def test_streamed_report_matches_json_dumps(params, entries, summary):
+    """The frame that ``_write_report`` puts around the params, given as
+    JSON text, the entries, as their writer renders them, and a summary of
+    ints is laid out as ``json.dumps`` lays out the whole report."""
     out = io.StringIO()
-    _write_report(Report(params, iter(entries), str, [], summary=summary), "cmd", "json", out)
+    report = Report(
+        _json(params, "  "), iter(entries), str, lambda e: _json(e, "    "), [], summary=summary
+    )
+    _write_report(report, "cmd", "json", out)
     data = {
         "version": __version__,
         "command": "cmd",
@@ -1075,6 +1088,115 @@ def test_entry_templates_match_json_writer_over_whole_ranges(args, renderer, as_
         assert entries == list(groups._presentations(3000))
     for entry in entries:
         assert renderer(entry) == _json(as_dict(entry), "    "), entry
+
+
+SMALL_PRIMES = [int(q) for q in _prime_stream(3, 2000)]
+ENTRY_WRITERS = {
+    "invariants": cli._invariants_json,
+    "independent": cli._independent_json,
+    "orders": cli._orders_json,
+    "orders-d3": cli._orders_d3_json,
+}
+
+
+@st.composite
+def single_entry_queries(draw):
+    """The argv of a valid ``invariants``, ``independent``, ``orders`` or
+    ``orders-d3`` query, with weights drawn as any positive integers that
+    are units mod p."""
+    command = draw(st.sampled_from(sorted(ENTRY_WRITERS)))
+    if command.startswith("orders"):
+        # below 1000, p**(2k) stays under the 2**63 bound of `orders`
+        primes = [p for p in SMALL_PRIMES if p < 1000 and (command == "orders" or p % 3 == 1)]
+        p, k = draw(st.sampled_from(primes)), draw(st.integers(1, 3))
+        return [command, "--p", str(p), "--k", str(k)]
+    p = draw(st.sampled_from(SMALL_PRIMES if command == "invariants" else SMALL_PRIMES[1:]))
+
+    def weights():
+        units = st.integers(1, p - 1).flatmap(lambda w: st.sampled_from([w, w + p, w + 5 * p]))
+        return ",".join(str(draw(units)) for _ in range(3))
+
+    if command == "invariants":
+        return [command, "--p", str(p), "--q", weights()]
+    brute = ["--brute"] if draw(st.booleans()) else []
+    return [command, "--p", str(p), "--qa", weights(), "--qb", weights(), *brute]
+
+
+@given(single_entry_queries())
+@example(["orders", "--p", "3", "--k", "2"])  # the "unspecified" branches
+@example(["orders", "--p", "7", "--k", "1"])  # the null checks
+@example(["orders", "--p", "5", "--k", "2"])  # both checks true
+@example(["invariants", "--p", "7", "--q", "1,2,3"])  # Q = 0
+@example(["independent", "--p", "101", "--qa", "1,1,1", "--qb", "1,1,2"])  # no oracle
+@example(["independent", "--p", "5", "--qa", "1,1,1", "--qb", "1,1,1", "--brute"])  # dependent
+def test_entry_writers_match_json_writer_on_drawn_queries(argv):
+    """Each one-entry report's f-string writer renders its entry as ``_json``
+    does, and the whole report, its params written by the handler's own
+    f-string, is ``json.dumps``'s layout of the namespace's values."""
+    ns = cli.build_parser().parse_args(argv)
+    report = getattr(cli, "cmd_" + ns.command.replace("-", "_"))(ns)
+    writer = ENTRY_WRITERS[ns.command]
+    assert report.to_json is writer
+    [entry] = report.entries
+    assert writer(entry) == _json(entry, "    ")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([*argv, "--format", "json"]) == 0
+    data = json.loads(out.getvalue())
+    assert out.getvalue() == json.dumps(data, indent=2) + "\n"
+    params = {
+        key: list(value) if isinstance(value, tuple) else value
+        for key, value in vars(ns).items()
+        if key not in ("command", "format", "out")
+    }
+    assert data == {
+        "version": __version__,
+        "command": ns.command,
+        "params": params,
+        "entries": [entry],
+        "summary": {"failures": 0},
+    }
+
+
+def test_int_paths_match_the_public_records_at_every_prime_below_2000():
+    """``invariants`` and ``independent`` check p and the weights once, by
+    ``LensSpace``, and work on ints from there; at every prime below 2000,
+    with random weights, their entries are those that the public records
+    give: ``LensSpace``, ``pontrjagin_pair``, ``canonical_form`` and the
+    exhaustive ``independent_bruteforce``."""
+    rng = random.Random(33)
+    parser = cli.build_parser()
+    for p in SMALL_PRIMES:
+        qa, qb = ([rng.randrange(1, p) + p * rng.randrange(3) for _ in range(3)] for _ in range(2))
+        lens_a, lens_b = LensSpace(p, qa), LensSpace(p, qb)
+        pair_a, pair_b = pontrjagin_pair(lens_a), pontrjagin_pair(lens_b)
+        triple_a, triple_b = ",".join(map(str, qa)), ",".join(map(str, qb))
+        ns = parser.parse_args(["invariants", "--p", str(p), "--q", triple_a])
+        assert cli.cmd_invariants(ns).entries == [
+            {
+                "p": p,
+                "weights": list(lens_a.weights),
+                "Q": q_sum(lens_a),
+                "pair": list(pair_a.values()),
+                "canonical": list(canonical_form(pair_a).values()),
+            }
+        ], p
+        if p < 5:
+            continue
+        argv = ["independent", "--p", str(p), "--qa", triple_a, "--qb", triple_b, "--brute"]
+        oracle = independent_bruteforce(pair_a, pair_b)
+        assert cli.cmd_independent(parser.parse_args(argv)).entries == [
+            {
+                "p": p,
+                "weights_a": list(lens_a.weights),
+                "weights_b": list(lens_b.weights),
+                "Q": q_sum(lens_a),
+                "R": q_sum(lens_b),
+                "independent": oracle,
+                "oracle": oracle,
+                "agree": True,
+            }
+        ], p
 
 
 @pytest.mark.parametrize(

@@ -42,15 +42,22 @@ SCENARIOS = {
     "lemma5-disagree": ["lemma5", "--min", "5", "--max", "7"],
     "invariants-13": ["invariants", "--p", "13", "--q", "2,3,4"],
     "invariants-nonunit": ["invariants", "--p", "5", "--q", "1,1,5"],
+    # p = 2 mod 3: cubing permutes the units
+    "invariants-11": ["invariants", "--p", "11", "--q", "2,3,4"],
+    # Q = 0: the canonical form is (1, 0)
+    "invariants-7-zero": ["invariants", "--p", "7", "--q", "1,2,3"],
     "independent-brute": ["independent", "--p", "7", "--qa", "1,1,1", "--qb", "1,2,2", "--brute"],
     "independent-dependent": ["independent", "--p", "5", "--qa", "1,1,1", "--qb", "1,1,1"],
     "independent-disagree": ["independent", "--p", "5", "--qa", "1,1,1", "--qb", "1,1,2", "--brute"],
+    # no --brute: oracle and agree are null
+    "independent-nobrute": ["independent", "--p", "101", "--qa", "1,1,1", "--qb", "1,1,2"],
     "orders-5-1": ["orders", "--p", "5", "--k", "1"],
     "orders-5-2": ["orders", "--p", "5", "--k", "2"],
     "orders-3-2": ["orders", "--p", "3", "--k", "2"],
     "orders-9": ["orders", "--p", "9"],
     "orders-d3-7": ["orders-d3", "--p", "7", "--k", "1"],
     "orders-d3-5": ["orders-d3", "--p", "5"],
+    "orders-d3-7-2": ["orders-d3", "--p", "7", "--k", "2"],
     "groups-300": ["groups", "--max-order", "300"],
     "groups-1": ["groups", "--max-order", "1"],
     "groups-0": ["groups", "--max-order", "0"],

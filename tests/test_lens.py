@@ -13,6 +13,7 @@ from lensbordism.lens import (
     GeneratorPairResult,
     LensSpace,
     PontrjaginPair,
+    _canonical,
     canonical_form,
     find_generator_pair,
     independent,
@@ -184,23 +185,51 @@ def _canonical_form_by_scan(x):
     return pair(best[0], best[1], p)
 
 
+def _assert_every_pair_matches_scan(p, form):
+    """``form(b0, b1)`` is the scan's least orbit element for every pair mod
+    p.  The scan runs once per orbit; every member of that orbit must map to
+    its result, which covers all p**2 pairs in O(p**2) scan steps."""
+    seen = set()
+    for b0 in range(p):
+        for b1 in range(p):
+            if (b0, b1) in seen:
+                continue
+            expected = _canonical_form_by_scan(pair(b0, b1, p)).values()
+            for k in range(1, p):
+                member = (pow(k, 3, p) * b0 % p, k * b1 % p)
+                if member not in seen:
+                    seen.add(member)
+                    assert form(*member) == expected, (p, member)
+
+
 class TestCanonicalFormMatchesScan:
     @pytest.mark.parametrize("p", [int(q) for q in primes_in_range(2, 200)])
     def test_every_pair(self, p):
-        # The scan runs once per orbit; every member of that orbit must map
-        # to its result, which covers all p**2 pairs in O(p**2) scan steps.
-        seen = set()
-        for b0 in range(p):
-            for b1 in range(p):
-                if (b0, b1) in seen:
-                    continue
+        _assert_every_pair_matches_scan(p, lambda b0, b1: canonical_form(pair(b0, b1, p)).values())
+
+    @pytest.mark.parametrize("p", [int(q) for q in primes_in_range(2, 200)])
+    def test_int_form_at_every_pair(self, p):
+        """``_canonical``, the int-level form that ``canonical_form`` wraps
+        and the CLI calls, given p as the ``PrimeModulus`` it gets there:
+        two plain ints."""
+
+        def form(b0, b1):
+            got = _canonical(b0, b1, PrimeModulus(p))
+            assert [type(x) for x in got] == [int, int]
+            return got
+
+        _assert_every_pair_matches_scan(p, form)
+
+    def test_int_form_on_random_pairs(self):
+        rng = random.Random(33)
+        primes = [163, 487, 1459, 2917] + rng.sample(
+            [int(q) for q in primes_in_range(200, 20000)], 24
+        )
+        for p in primes:
+            for _ in range(8):
+                b0, b1 = rng.randrange(p), rng.randrange(p)
                 expected = _canonical_form_by_scan(pair(b0, b1, p)).values()
-                for k in range(1, p):
-                    member = (pow(k, 3, p) * b0 % p, k * b1 % p)
-                    if member not in seen:
-                        seen.add(member)
-                        got = canonical_form(pair(*member, p)).values()
-                        assert got == expected, (p, member)
+                assert _canonical(b0, b1, p) == expected, (p, b0, b1)
 
     def test_random_pairs_at_sampled_primes(self):
         # 3**4 .. 3**6 divide p - 1 for the four named primes, so the cube
