@@ -30,16 +30,19 @@ one place they build ``PontrjaginPair`` records.  A one-number ``lemma5``
 range is tested and searched before the report starts, with no prime
 stream, and only a text report formats its closing line.
 
-``main`` parses a call (``_parse``) in one of two ways.  A well-formed
-call is parsed directly from the subcommand's argparse actions
-(``_parse_direct``): its first argument names a subcommand and every later
-one is either one of that subcommand's option strings, in full, or the
-value of the option before it, which does not begin with ``-``.  Each
-value is converted by its action's ``type`` and checked against its
-``choices``, and the defaults are filled in.  Any other call, and one that
-fails a check or leaves out a required option, goes through the full
-parser, so help, usage lines, errors and abbreviations are argparse's own,
-and every call gets the namespace that the full parser would give it.
+``main`` parses a call (``_parse``) in one of two ways, both from one
+table, ``_COMMANDS``, which holds each subcommand's help and options, each
+option as the keyword arguments of its ``add_argument`` call.  A
+well-formed call is parsed directly from that table (``_parse_direct``),
+with no argparse imported and no parser built: its first argument names a
+subcommand and every later one is either one of that subcommand's option
+strings, in full, or the value of the option before it, which does not
+begin with ``-``.  Each value is converted by its option's ``type`` and
+checked against its ``choices``, and the defaults are filled in.  Any
+other call, and one that fails a check or leaves out a required option,
+goes through a full parser that ``build_parser`` builds from the table for
+that call, so help, usage lines, errors and abbreviations are argparse's
+own, and every call gets the attributes that the full parser would give it.
 
 Exit codes: 0 success, 1 verification failure or oracle disagreement (a
 nonzero ``failures`` in the report's summary), 2 usage or input error,
@@ -59,11 +62,11 @@ out of memory after the first byte.
 
 from __future__ import annotations
 
-import argparse
 import json
 import marshal
 import os
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import LensBordismError, SearchExhausted, Unspecified
@@ -289,12 +292,16 @@ def _write_file(report: Report, command: str, fmt: str, path: str) -> None:
 
 def _triple(text: str) -> tuple[int, int, int]:
     parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated integers")
-    try:
-        return tuple(int(x) for x in parts)  # type: ignore[return-value]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    message = "expected three comma-separated integers"
+    if len(parts) == 3:
+        try:
+            return tuple(int(x) for x in parts)  # type: ignore[return-value]
+        except ValueError as exc:
+            message = str(exc)
+    # imported only here, where argparse is to report the error
+    from argparse import ArgumentTypeError
+
+    raise ArgumentTypeError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -824,13 +831,83 @@ def cmd_groups(ns) -> Report:
 # ---------------------------------------------------------------------------
 
 
+# Each subcommand's help and its options, each option as the keyword
+# arguments of the ``add_argument`` call that declares it; options that
+# several subcommands take are declared once, below.  ``dest`` is given even
+# where argparse would derive it, so the direct parse need not.  An option
+# either is required or has a default, and ``--brute`` states the default
+# that its ``store_true`` gives.  The help strings are formatted at import.
+_OUTPUT = {
+    "--format": {"dest": "format", "choices": ("text", "csv", "json"), "default": "text"},
+    "--out": {
+        "dest": "out", "metavar": "FILE", "default": None,
+        "help": "write to FILE instead of stdout (- is stdout)",
+    },
+}
+_PRIME = {"--p": {"dest": "p", "type": int, "required": True}}
+_PRIME_POWER = {**_PRIME, "--k": {"dest": "k", "type": int, "default": 1}}
+_COMMANDS = {
+    "lemma5": (
+        "verify an independent generator pair exists for every prime in range",
+        {
+            "--min": {
+                "dest": "min", "type": int, "required": True, "help": "first prime bound (>= 5)"
+            },
+            "--max": {"dest": "max", "type": int, "required": True, "help": "last prime bound"},
+            "--brute-below": {
+                "dest": "brute_below", "type": int, "default": 31,
+                "help": (
+                    "cross-check primes up to this bound with the exhaustive oracle "
+                    f"(default 31; at most {BRUTE_BELOW_MAX} unless --max is)"
+                ),
+            },
+            "--jobs": {
+                "dest": "jobs", "type": int, "default": 1,
+                "help": (
+                    f"worker processes (0 = all cores; at most one per block of {_LEMMA5_BLOCK} "
+                    f"numbers and {JOBS_PER_CORE} per core, so the determinism check can run "
+                    "3 workers on any machine)"
+                ),
+            },
+            **_OUTPUT,
+        },
+    ),
+    "invariants": (
+        "Q, normalized invariant pair and canonical form of one lens space",
+        {
+            **_PRIME,
+            "--q": {"dest": "q", "type": _triple, "required": True, "metavar": "a,b,c"},
+            **_OUTPUT,
+        },
+    ),
+    "independent": (
+        "independence verdict for two weight triples",
+        {
+            **_PRIME,
+            "--qa": {"dest": "qa", "type": _triple, "required": True, "metavar": "a,b,c"},
+            "--qb": {"dest": "qb", "type": _triple, "required": True, "metavar": "a,b,c"},
+            "--brute": {
+                "dest": "brute", "action": "store_true", "default": False,
+                "help": f"also run the exhaustive oracle (--p at most {BRUTE_MAX_P})",
+            },
+            **_OUTPUT,
+        },
+    ),
+    "orders": ("bordism orders over a cyclic group of order p**k", {**_PRIME_POWER, **_OUTPUT}),
+    "orders-d3": (
+        "bordism order over the metacyclic group (p**k, 3, r)", {**_PRIME_POWER, **_OUTPUT}
+    ),
+    "groups": (
+        "enumerate odd-order presentations up to a bound",
+        {"--max-order": {"dest": "max_order", "type": int, "required": True}, **_OUTPUT},
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    return _build_parsers()[0]
+    """A new full parser, built from ``_COMMANDS``."""
+    import argparse
 
-
-def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Action]]]:
-    """The full parser and, by subcommand name, that subcommand's option
-    strings mapped to the actions ``add_argument`` returned for them."""
     parser = argparse.ArgumentParser(
         prog="lensbordism",
         description=(
@@ -841,157 +918,72 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argpa
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    actions = {}
-    lemma5 = sub.add_parser(
-        "lemma5",
-        help="verify an independent generator pair exists for every prime in range",
-    )
-    actions["lemma5"] = [
-        lemma5.add_argument("--min", type=int, required=True, help="first prime bound (>= 5)"),
-        lemma5.add_argument("--max", type=int, required=True, help="last prime bound"),
-        lemma5.add_argument(
-            "--brute-below", type=int, default=31, dest="brute_below",
-            help=(
-                "cross-check primes up to this bound with the exhaustive oracle "
-                f"(default 31; at most {BRUTE_BELOW_MAX} unless --max is)"
-            ),
-        ),
-        lemma5.add_argument(
-            "--jobs", type=int, default=1,
-            help=(
-                f"worker processes (0 = all cores; at most one per block of {_LEMMA5_BLOCK} "
-                f"numbers and {JOBS_PER_CORE} per core, so the determinism check can run "
-                "3 workers on any machine)"
-            ),
-        ),
-    ]
-
-    invariants = sub.add_parser(
-        "invariants", help="Q, normalized invariant pair and canonical form of one lens space"
-    )
-    actions["invariants"] = [
-        invariants.add_argument("--p", type=int, required=True),
-        invariants.add_argument("--q", type=_triple, required=True, metavar="a,b,c"),
-    ]
-
-    indep = sub.add_parser(
-        "independent", help="independence verdict for two weight triples"
-    )
-    actions["independent"] = [
-        indep.add_argument("--p", type=int, required=True),
-        indep.add_argument("--qa", type=_triple, required=True, metavar="a,b,c"),
-        indep.add_argument("--qb", type=_triple, required=True, metavar="a,b,c"),
-        indep.add_argument(
-            "--brute", action="store_true",
-            help=f"also run the exhaustive oracle (--p at most {BRUTE_MAX_P})",
-        ),
-    ]
-
-    orders = sub.add_parser("orders", help="bordism orders over a cyclic group of order p**k")
-    actions["orders"] = [
-        orders.add_argument("--p", type=int, required=True),
-        orders.add_argument("--k", type=int, default=1),
-    ]
-
-    orders_d3 = sub.add_parser(
-        "orders-d3", help="bordism order over the metacyclic group (p**k, 3, r)"
-    )
-    actions["orders-d3"] = [
-        orders_d3.add_argument("--p", type=int, required=True),
-        orders_d3.add_argument("--k", type=int, default=1),
-    ]
-
-    groups = sub.add_parser("groups", help="enumerate odd-order presentations up to a bound")
-    actions["groups"] = [
-        groups.add_argument("--max-order", type=int, required=True, dest="max_order"),
-    ]
-
-    for name, command in sub.choices.items():
-        actions[name] += [
-            command.add_argument("--format", choices=("text", "csv", "json"), default="text"),
-            command.add_argument(
-                "--out", metavar="FILE", default=None,
-                help="write to FILE instead of stdout (- is stdout)",
-            ),
-        ]
-    return parser, {
-        name: {option: action for action in acts for option in action.option_strings}
-        for name, acts in actions.items()
-    }
+    for name, (about, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=about)
+        for option, keywords in options.items():
+            command.add_argument(option, **keywords)
+    return parser
 
 
-# Built by the first ``main`` call, not at import; parsing leaves them
-# unchanged, so every later call reuses them.  ``_options`` holds, by
-# subcommand name, the option strings of that subcommand of ``_parser``
-# and their actions, as ``_build_parsers`` returns them.
-_parser: argparse.ArgumentParser | None = None
-_options: dict[str, dict[str, argparse.Action]] = {}
-
-
-def _parse_direct(argv: list[str]) -> argparse.Namespace | None:
-    """What ``_parser.parse_args(argv)`` returns, built from the subcommand's
-    actions without argparse's scan of the arguments, or None.
+def _parse_direct(argv: list[str]) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` returns, built from
+    ``_COMMANDS`` without argparse, or None.
 
     It parses an ``argv`` whose first item names a subcommand and whose
     every later item is either exactly one of that subcommand's option
     strings or, after an option that takes a value, that value, which does
-    not begin with ``-``.  Each value goes through the action's ``type`` and
-    must be one of its ``choices``; an option that takes no value
-    (``--brute``) stores its ``const``; a repeated option keeps its last
-    value.  Every option not given gets its default, converted by ``type``
-    where it is a str, as argparse does.  Any other ``argv``, such as one
-    with ``-h``, an abbreviation, ``--p=5`` or a stray value, or one where
-    ``type`` rejects a value or a required option is missing, returns None,
-    for argparse to give its own help, usage line or error."""
-    options = _options.get(argv[0]) if argv else None
-    if options is None:
+    not begin with ``-``.  Each value goes through the option's ``type``
+    and must be one of its ``choices``; ``--brute`` stores True; a repeated
+    option keeps its last value.  Every option not given gets its default.
+    Any other ``argv``, such as one with ``-h``, an abbreviation, ``--p=5``
+    or a stray value, or one where ``type`` rejects a value or a required
+    option is missing, returns None, for argparse to give its own help,
+    usage line or error."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
         return None
-    given = {}
+    options = command[1]
+    values = {}
     i, n = 1, len(argv)
-    try:
-        while i < n:
-            action = options.get(argv[i])
-            if action is None:
+    while i < n:
+        keywords = options.get(argv[i])
+        if keywords is None:
+            return None
+        if "action" in keywords:  # a store_true flag: --brute
+            values[keywords["dest"]] = True
+            i += 1
+            continue
+        if i + 1 == n or argv[i + 1][:1] == "-":
+            return None
+        value = argv[i + 1]
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except Exception:
+                # a value that its type rejects, as int does with ValueError
+                # and _triple with ArgumentTypeError: the full parser
+                # converts it again and reports the error
                 return None
-            if action.nargs == 0:
-                given[action] = action.const
-                i += 1
-                continue
-            if i + 1 == n or argv[i + 1][:1] == "-":
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[keywords["dest"]] = value
+        i += 2
+    for keywords in options.values():
+        if keywords["dest"] not in values:
+            if "required" in keywords:
                 return None
-            value = argv[i + 1] if action.type is None else action.type(argv[i + 1])
-            if action.choices is not None and value not in action.choices:
-                return None
-            given[action] = value
-            i += 2
-        ns = argparse.Namespace(command=argv[0])
-        for action in options.values():
-            if action in given:
-                value = given[action]
-            elif action.required:
-                return None
-            else:
-                value = action.default
-                if isinstance(value, str) and action.type is not None:
-                    value = action.type(value)
-            setattr(ns, action.dest, value)
-    except (argparse.ArgumentTypeError, TypeError, ValueError):
-        return None
-    return ns
+            values[keywords["dest"]] = keywords["default"]
+    return SimpleNamespace(command=argv[0], **values)
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """``_parser.parse_args(argv)``: ``_parse_direct`` where it gives a
-    namespace, else the full parser."""
+def _parse(argv: list[str]) -> SimpleNamespace | argparse.Namespace:
+    """``build_parser().parse_args(argv)``: ``_parse_direct`` where it gives
+    a namespace, else a full parser built for this call."""
     ns = _parse_direct(argv)
-    return _parser.parse_args(argv) if ns is None else ns
+    return build_parser().parse_args(argv) if ns is None else ns
 
 
 def main(argv: list[str] | None = None) -> int:
-    global _parser, _options
-    if _parser is None:
-        _parser, _options = _build_parsers()
     try:
         ns = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:

@@ -758,11 +758,11 @@ class TestFailurePolicy:
 
 
 def test_startup_loads_only_what_every_run_needs():
-    """Importing the CLI and building its parser, as every run does, loads
-    no ``dataclasses`` or ``inspect`` (the records are named tuples), no
-    ``csv`` (imported where it is used) and no process pool (the ``lemma5``
-    workers are forked).  Only the modules the import adds count, not those
-    ``site`` loaded before."""
+    """Importing the CLI, as every run does, and building its full parser,
+    as help and errors do, loads no ``dataclasses`` or ``inspect`` (the
+    records are named tuples), no ``csv`` (imported where it is used) and no
+    process pool (the ``lemma5`` workers are forked).  Only the modules the
+    import adds count, not those ``site`` loaded before."""
     code = (
         "import sys; before = set(sys.modules); "
         "import lensbordism.cli as c; c.build_parser(); "
@@ -775,6 +775,29 @@ def test_startup_loads_only_what_every_run_needs():
     assert not added & {
         "dataclasses", "inspect", "csv", "concurrent.futures", "multiprocessing"
     }
+
+
+def test_valid_call_imports_no_argparse():
+    """A well-formed call, text or JSON, is parsed without ``argparse`` and
+    the ``gettext`` it loads; a call with an error still gets argparse's
+    usage line and exit code 2.  Only the modules the run adds count."""
+    script = """
+import contextlib, io, sys
+before = set(sys.modules)
+from lensbordism.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted(set(sys.modules) - before))
+"""
+    for fmt in ("text", "json"):
+        proc = python("-c", script, "orders", "--p", "5", "--format", fmt)
+        assert proc.returncode == 0, proc.stderr
+        code, *added = proc.stdout.split()
+        assert code == "0" and "lensbordism.cli" in added
+        assert not {"argparse", "gettext"} & set(added)
+    proc = python("-m", "lensbordism", "orders", "--p", "5", "--bogus")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: lensbordism [-h]")
 
 
 def test_memory_error_is_one_error_line(capsys, monkeypatch):
@@ -816,9 +839,9 @@ def test_unknown_command_is_usage_error(capsys):
     assert capsys.readouterr().err.startswith("usage: lensbordism [-h]")
 
 
-# Calls that ``main`` may parse with the subcommand's parser alone, or must
-# send through the full parser: help, version, usage and input errors, and
-# a few that succeed.
+# Calls that ``main`` may parse directly from the option table, or must send
+# through the full parser: help, version, usage and input errors, and a few
+# that succeed.
 DISPATCH = [
     [],
     ["--version"],
@@ -883,10 +906,8 @@ def run_in(directory, argv) -> tuple:
 
 def run_both(directory, argv) -> tuple:
     """``run_in`` with the direct parse and then with the full parser alone."""
-    parser, options = cli._build_parsers()
-    with mock.patch.object(cli, "_parser", parser), mock.patch.object(cli, "_options", options):
-        direct = run_in(directory, argv)
-    with mock.patch.object(cli, "_parser", parser), mock.patch.object(cli, "_options", {}):
+    direct = run_in(directory, argv)
+    with mock.patch.object(cli, "_parse_direct", lambda argv: None):
         full = run_in(directory, argv)
     return direct, full
 
@@ -903,38 +924,39 @@ def test_dispatch_matches_the_full_parser(monkeypatch, tmp_path, argv):
 # followed by a value of its type or, a quarter of the time, by one that
 # may be wrong or look like an option.  Half of them get up to three more
 # tokens put anywhere: another subcommand's option, an abbreviation, a word
-# that argparse reads itself or another value.
-_PARSER, _ACTIONS = cli._build_parsers()
+# that argparse reads itself or another value.  Options, types and choices
+# come from the table that both parsers are built from.
 _VALUES = st.integers(-3, 45).map(str) | st.sampled_from(
     ["", "-", "--", "--=5", "1,2,3", "1,1,1", "2,3,4", "1,2", "-1,2,3", "json", "xml", "csv"]
 )
 _OTHER = st.sampled_from(
-    sorted({option for table in _ACTIONS.values() for option in table})
+    sorted({option for _, options in cli._COMMANDS.values() for option in options})
     + ["--m", "--max-o", "--brute-b", "--j", "--for", "--o", "--h", "-h", "--version"]
 ) | _VALUES
 
 
-def _typed_values(action):
-    if action.choices:
-        return st.sampled_from(action.choices)
-    if action.type is int:
+def _typed_values(keywords):
+    if "choices" in keywords:
+        return st.sampled_from(keywords["choices"])
+    if keywords.get("type") is int:
         return st.integers(0, 45).map(str)
-    if action.type is cli._triple:
+    if keywords.get("type") is cli._triple:
         return st.sampled_from(["1,2,3", "1,1,1", "2,3,4", "1,2,2"])
     return st.sampled_from(["report", "json"])  # --out
 
 
 @st.composite
 def _argvs(draw):
-    command = draw(st.sampled_from(sorted(_ACTIONS)))
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    options = cli._COMMANDS[command][1]
     argv = [command]
-    for option in draw(st.permutations(sorted(_ACTIONS[command]))):
-        action = _ACTIONS[command][option]
-        if not draw(st.sampled_from([True] * (5 if action.required else 1) + [False])):
+    for option in draw(st.permutations(sorted(options))):
+        keywords = options[option]
+        if not draw(st.sampled_from([True] * (5 if keywords.get("required") else 1) + [False])):
             continue
         argv.append(option)
-        if action.nargs != 0:
-            typed = _typed_values(action)
+        if "action" not in keywords:  # all but the flag --brute take a value
+            typed = _typed_values(keywords)
             argv.append(draw(st.one_of(typed, typed, typed, _VALUES)))
     for token in draw(st.lists(_OTHER, max_size=3) | st.just([])):
         argv.insert(draw(st.integers(1, len(argv))), token)
@@ -948,10 +970,9 @@ def _argvs(draw):
 @example(["groups", "--max-order", "30", "--out", "json"])
 @example(["orders", "--p", "5", "--out", ""])
 def test_direct_parse_matches_the_full_parser(argv):
-    with mock.patch.object(cli, "_options", _ACTIONS):
-        ns = cli._parse_direct(argv)
+    ns = cli._parse_direct(argv)
     if ns is not None:
-        assert ns == _PARSER.parse_args(argv)
+        assert vars(ns) == vars(cli.build_parser().parse_args(argv))
     with mock.patch.dict(os.environ, COLUMNS="80"), tempfile.TemporaryDirectory() as directory:
         direct, full = run_both(directory, argv)
     assert direct == full
@@ -1455,7 +1476,6 @@ def test_parser_reused_across_calls_matches_fresh_runs():
     script = """
 import contextlib, io, json, sys
 import lensbordism.cli as cli
-assert cli._parser is None  # not built at import
 results = []
 for argv in json.loads(sys.argv[1]):
     out, err = io.StringIO(), io.StringIO()
@@ -1472,7 +1492,7 @@ print(json.dumps(results))
 
 
 def test_handler_is_looked_up_at_call_time(capsys, monkeypatch):
-    assert run(capsys, "orders", "--p", "5")[0] == 0  # the parser exists from here on
+    assert run(capsys, "orders", "--p", "5")[0] == 0
     real, seen = cli.cmd_orders, []
 
     def wrapped(ns):

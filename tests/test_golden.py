@@ -2,9 +2,11 @@
 
 Each case runs ``cli.main`` in-process and compares stdout, stderr and the
 exit code with the files under ``tests/golden/``: ``<case>.out``,
-``<case>.err`` and the code in ``exit_codes.json``.  After a deliberate
-change of output, rewrite the files with ``python tests/test_golden.py``
-and review the diff.
+``<case>.err`` and the code in ``exit_codes.json``.  The calls whose output
+is argparse's own are kept apart, in ``ARGPARSE`` and the same three kinds
+of file under ``tests/golden-argparse/``.  After a deliberate change of
+output, rewrite the files with ``python tests/test_golden.py`` and review
+the diff.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 from unittest import mock
@@ -86,19 +89,45 @@ CASES = {
     for fmt in FORMATS
 }
 
+# Calls whose output argparse writes itself, help and usage lines wrapped
+# at COLUMNS=80: help, the version, errors and an abbreviation it accepts.
+ARGPARSE_GOLDEN = GOLDEN.parent / "golden-argparse"
+ARGPARSE = {
+    "help": ["-h"],
+    **{f"{command}-help": [command, "-h"] for command in (
+        "lemma5", "invariants", "independent", "orders", "orders-d3", "groups"
+    )},
+    "version": ["--version"],
+    "missing-required": ["lemma5", "--min", "5"],
+    "unknown-option": ["orders", "--p", "5", "--bogus"],
+    "abbreviation": ["groups", "--max-o", "30"],
+    "short-triple": ["invariants", "--p", "7", "--q", "1,2"],
+    "format-choice": ["orders", "--p", "5", "--format", "xml"],
+}
+
+
+def run_argv(argv: list[str]) -> tuple[str, str, int]:
+    """(stdout, stderr, exit code) of ``cli.main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return out.getvalue(), err.getvalue(), code
+
 
 def run_case(case: str, extra: tuple[str, ...] = ()) -> tuple[str, str, int]:
     """(stdout, stderr, exit code) of one case."""
     name, argv = CASES[case]
-    out, err = io.StringIO(), io.StringIO()
     with contextlib.ExitStack() as stack:
         if name in PATCHES:
             attr, make = PATCHES[name]
             stack.enter_context(mock.patch.object(cli, attr, make()))
-        stack.enter_context(contextlib.redirect_stdout(out))
-        stack.enter_context(contextlib.redirect_stderr(err))
-        code = cli.main([*argv, *extra])
-    return out.getvalue(), err.getvalue(), code
+        return run_argv([*argv, *extra])
+
+
+def run_argparse_case(case: str) -> tuple[str, str, int]:
+    """(stdout, stderr, exit code) of one ``ARGPARSE`` call."""
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        return run_argv(ARGPARSE[case])
 
 
 def _read(path: Path) -> str:
@@ -158,10 +187,21 @@ def test_lemma5_goldens_from_forked_workers(case, exit_codes):
     assert code == exit_codes[case]
 
 
+@pytest.mark.parametrize("case", sorted(ARGPARSE))
+def test_argparse_output(case):
+    out, err, code = run_argparse_case(case)
+    assert out == _read(ARGPARSE_GOLDEN / f"{case}.out")
+    assert err == _read(ARGPARSE_GOLDEN / f"{case}.err")
+    assert code == json.loads(_read(ARGPARSE_GOLDEN / "exit_codes.json"))[case]
+
+
 def test_golden_cases_complete(exit_codes):
     files = {p.name for p in GOLDEN.iterdir()} - {"exit_codes.json"}
     assert files == {f"{case}.{s}" for case in CASES for s in ("out", "err")}
     assert set(exit_codes) == set(CASES)
+    files = {p.name for p in ARGPARSE_GOLDEN.iterdir()} - {"exit_codes.json"}
+    assert files == {f"{case}.{s}" for case in ARGPARSE for s in ("out", "err")}
+    assert set(json.loads(_read(ARGPARSE_GOLDEN / "exit_codes.json"))) == set(ARGPARSE)
 
 
 def test_out_file_holds_the_golden_stdout(tmp_path, exit_codes):
@@ -173,13 +213,17 @@ def test_out_file_holds_the_golden_stdout(tmp_path, exit_codes):
 
 
 def _write_golden() -> None:
-    GOLDEN.mkdir(exist_ok=True)
-    codes = {}
-    for case in sorted(CASES):
-        out, err, codes[case] = run_case(case)
-        (GOLDEN / f"{case}.out").write_bytes(out.encode("utf-8"))
-        (GOLDEN / f"{case}.err").write_bytes(err.encode("utf-8"))
-    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n", encoding="utf-8")
+    for directory, cases, run in (
+        (GOLDEN, CASES, run_case), (ARGPARSE_GOLDEN, ARGPARSE, run_argparse_case)
+    ):
+        directory.mkdir(exist_ok=True)
+        codes = {}
+        for case in sorted(cases):
+            out, err, codes[case] = run(case)
+            (directory / f"{case}.out").write_bytes(out.encode("utf-8"))
+            (directory / f"{case}.err").write_bytes(err.encode("utf-8"))
+        text = json.dumps(codes, indent=2) + "\n"
+        (directory / "exit_codes.json").write_text(text, encoding="utf-8")
 
 
 if __name__ == "__main__":
