@@ -14,13 +14,14 @@ its own entry writer (``_lemma5_json``, ``_invariants_json``,
 ``_independent_json``, ``_orders_json``, ``_orders_d3_json`` and
 ``_groups_json``, with ``_scalar`` for a value that may be a str, a bool
 or null); and ``_write_report`` writes the version, command, the frame
-around the entries and the summary, a flat dict of ints.  The generic,
-recursive ``_json`` writes only the dicts sent to stderr, such as a
-``lemma5`` failure record, and is the tests' oracle for the f-strings.
-An entry is a dict only where generic code reads it: a ``lemma5`` entry
-is, as ``_spread`` writes its CSV row and ``_json`` a failure record that
-holds it, while a ``groups`` entry is the walk's (m, n, r, sylow) tuple as
-``_presentations`` yields it, which only its three renderers read.
+around the entries and the summary, a flat dict of ints.
+Every entry is a plain tuple, its values in the order of its JSON keys,
+and each text and JSON writer unpacks it, so a key name is written once,
+in its command's JSON writer.  A CSV row is the tuple as ``_spread``
+spreads it, one column per item of a tuple value, except for ``groups``,
+whose entry is the walk's (m, n, r, sylow) as ``_presentations`` yields
+it.  A ``lemma5`` failure is its stderr text, made in the worker that
+found it.
 
 ``invariants`` and ``independent`` check p and the weights once, by
 ``LensSpace``, and then work on ints, as ``lemma5`` does: the canonical
@@ -126,48 +127,23 @@ _quote = json.encoder.encode_basestring_ascii
 
 
 def _scalar(value) -> str:
-    """A JSON scalar as ``json.dumps`` writes it: a str, int, bool or None,
-    and any other value through ``json.dumps`` itself."""
-    if type(value) is str:
-        return _quote(value)
+    """A str, int, bool or None as ``json.dumps`` writes it."""
     if value is None or type(value) is bool:
         return "null" if value is None else "true" if value else "false"
-    return int.__repr__(value) if type(value) is int else json.dumps(value)
-
-
-def _json(obj, pad: str = "") -> str:
-    """``obj`` as ``json.dumps`` writes it with an indent of 2, with every
-    line after the first indented by ``pad``.  Dict keys must be strings.
-
-    The generic writer, for the dicts written to stderr, such as a
-    ``lemma5`` failure record, and the tests' oracle for the f-string
-    writers of the reports, which it matches byte for byte.
-    """
-    inner = pad + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [_quote(k) + ": " + _json(v, inner) for k, v in obj.items()]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [_json(v, inner) for v in obj]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-    return _scalar(obj)
+    return _quote(value) if type(value) is str else int.__repr__(value)
 
 
 def _json_list(items, pad: str = "      ") -> str:
-    """The rendered ``items`` as ``_json`` writes a list that is the value of
-    a key indented by ``pad``, by default a key of a report entry: one item
-    per line, or ``[]``."""
+    """The rendered ``items`` as ``json.dumps`` writes a list with an indent
+    of 2 that is the value of a key indented by ``pad``, by default a key of
+    a report entry: one item per line, or ``[]``."""
     body = f",\n{pad}  ".join(items)
     return f"[\n{pad}  {body}\n{pad}]" if body else "[]"
 
 
-def _spread(entry: dict) -> list:
-    """An entry's values in order, each list spread over one item per column."""
-    return [x for v in entry.values() for x in (v if isinstance(v, list) else [v])]
+def _spread(entry: tuple) -> list:
+    """An entry's values in order, each tuple spread over one item per column."""
+    return [x for v in entry for x in (v if isinstance(v, tuple) else (v,))]
 
 
 class Report:
@@ -175,19 +151,17 @@ class Report:
 
     ``params`` is the report's params as JSON text, indented to sit in the
     report, as each handler's f-string writes them.  ``entries`` is an
-    iterable of entries, read once: dicts, as the default CSV row needs, or
-    any value that the given formatters take, such as the ``groups``
-    tuples.  ``to_text(entry)`` is an entry's text lines as one string,
-    ``to_json(entry)`` its JSON, indented to sit in the entries list, and
-    ``to_row(entry)`` its CSV row (by default its values, each list spread
-    over one column per item); ``fields`` is the CSV header.  ``head`` is a
-    text line before the entries and ``tail`` one after them, written only
-    in text, with ``str.format_map`` over the summary; either may be empty.
-    ``summary``, a dict of ints, defaults to {"failures": 0}, and
-    ``stderr`` to a new empty list; a nonzero ``summary["failures"]`` makes
-    the exit code 1.  Iterating ``entries`` to its end may fill in
-    ``summary`` and ``stderr`` (a dict is written as JSON), so they are read
-    only after it.
+    iterable of tuples, read once.  ``to_text(entry)`` is an entry's text
+    lines as one string, ``to_json(entry)`` its JSON, indented to sit in the
+    entries list, and ``to_row(entry)`` its CSV row (by default its values,
+    each tuple spread over one column per item); ``fields`` is the CSV
+    header.  ``head`` is a text line before the entries and ``tail`` one
+    after them, written only in text, with ``str.format_map`` over the
+    summary; either may be empty.  ``summary``, a dict of ints, defaults to
+    {"failures": 0}, and ``stderr``, the texts written to stderr one per
+    line, to a new empty list; a nonzero ``summary["failures"]`` makes the
+    exit code 1.  Iterating ``entries`` to its end may fill in ``summary``
+    and ``stderr``, so they are read only after it.
     """
 
     def __init__(
@@ -201,7 +175,7 @@ class Report:
         head: str = "",
         tail: str = "",
         summary: dict | None = None,
-        stderr: list[str | dict] | None = None,
+        stderr: list[str] | None = None,
     ) -> None:
         self.params, self.entries, self.fields = params, entries, fields
         self.to_text, self.to_json, self.to_row = to_text, to_json, to_row
@@ -308,45 +282,33 @@ def _triple(text: str) -> tuple[int, int, int]:
 # lemma5: per-prime generator-pair verification over a range
 
 
-def _lemma5_worker(pm: PrimeModulus, brute_below: int) -> dict:
-    """Verify one prime; returns its entry, or a failure record with ``ok``
-    false and a ``reason``.
+def _lemma5_worker(pm: PrimeModulus, brute_below: int) -> tuple | str:
+    """Verify one prime; returns its entry, or a failure as the text to
+    write to stderr: a ``FAILURE p=...`` line and then its record as JSON,
+    with ``ok`` false, p, the ``reason`` and the trace or entry.
 
     The search runs on ints (``_generator_pair``); the prime stream, or
-    ``is_prime`` for a range of one number, has already tested ``pm``, and ``LensSpace``s are built from it only for the oracle,
-    which checks the pairs of the weights found.  The records hold p as a
-    plain int, as ``marshal`` needs."""
+    ``is_prime`` for a range of one number, has already tested ``pm``, and
+    ``LensSpace``s are built from it only for the oracle, which checks the
+    pairs of the weights found.  An entry is (p, weights_a, weights_b, Q, R,
+    stage, certificate, brute_checked), with p as a plain int, as
+    ``marshal`` needs."""
     p = int(pm)
     try:
         stage, q, r, certificate, weights_a, weights_b, _ = _generator_pair(pm)
     except SearchExhausted as exc:
-        return {
-            "ok": False,
-            "p": p,
-            "reason": "search exhausted",
-            "trace": [step._asdict() for step in exc.trace],
-        }
-    entry = {
-        "p": p,
-        "weights_a": list(weights_a),
-        "weights_b": list(weights_b),
-        "Q": q,
-        "R": r,
-        "stage": stage,
-        "certificate": certificate,
-        "brute_checked": p <= brute_below,
-    }
-    if entry["brute_checked"]:
+        reason, detail = "search exhausted", {"trace": [step._asdict() for step in exc.trace]}
+    else:
+        entry = (p, weights_a, weights_b, q, r, stage, certificate, p <= brute_below)
+        if p > brute_below:
+            return entry
         pair_a = pontrjagin_pair(LensSpace(pm, weights_a))
         pair_b = pontrjagin_pair(LensSpace(pm, weights_b))
-        if not (independent(pair_a, pair_b) and independent_bruteforce(pair_a, pair_b)):
-            return {
-                "ok": False,
-                "p": p,
-                "reason": "oracle disagreement",
-                "entry": entry,
-            }
-    return entry
+        if independent(pair_a, pair_b) and independent_bruteforce(pair_a, pair_b):
+            return entry
+        reason, detail = "oracle disagreement", {"entry": json.loads(_lemma5_json(entry))}
+    record = {"ok": False, "p": p, "reason": reason, **detail}
+    return f"FAILURE p={p}: {reason}\n{json.dumps(record, indent=2)}"
 
 
 # Numbers per block of ``lemma5``: block k is min + k*width to
@@ -450,27 +412,28 @@ def _lemma5_results(lo: int, hi: int, brute_below: int, jobs: int):
             os.waitpid(pid, 0)
 
 
-def _lemma5_text(e: dict) -> str:
+def _lemma5_text(e: tuple) -> str:
+    p, weights_a, weights_b, q, r, stage, certificate, brute_checked = e
     line = (
-        f"p={e['p']}  weights_a=({','.join(map(str, e['weights_a']))})  "
-        f"weights_b=({','.join(map(str, e['weights_b']))})  Q={e['Q']}  R={e['R']}  "
-        f"stage={e['stage']}  certificate={e['certificate']}"
+        f"p={p}  weights_a=({','.join(map(str, weights_a))})  "
+        f"weights_b=({','.join(map(str, weights_b))})  Q={q}  R={r}  "
+        f"stage={stage}  certificate={certificate}"
     )
-    return line + "  [brute-checked]" if e["brute_checked"] else line
+    return line + "  [brute-checked]" if brute_checked else line
 
 
-def _lemma5_json(e: dict) -> str:
-    """A ``lemma5`` entry as ``_json(e, "    ")`` writes it, keys in the order
-    ``_lemma5_worker`` builds them."""
+def _lemma5_json(e: tuple) -> str:
+    """A ``lemma5`` entry as ``json.dumps`` writes it in a report."""
+    p, weights_a, weights_b, q, r, stage, certificate, brute_checked = e
     return f"""{{
-      "p": {e['p']},
-      "weights_a": {_json_list(map(str, e['weights_a']))},
-      "weights_b": {_json_list(map(str, e['weights_b']))},
-      "Q": {e['Q']},
-      "R": {e['R']},
-      "stage": {_quote(e['stage'])},
-      "certificate": {e['certificate']},
-      "brute_checked": {'true' if e['brute_checked'] else 'false'}
+      "p": {p},
+      "weights_a": {_json_list(map(str, weights_a))},
+      "weights_b": {_json_list(map(str, weights_b))},
+      "Q": {q},
+      "R": {r},
+      "stage": {_quote(stage)},
+      "certificate": {certificate},
+      "brute_checked": {'true' if brute_checked else 'false'}
     }}"""
 
 
@@ -505,17 +468,17 @@ def cmd_lemma5(ns) -> Report:
     else:
         results = _lemma5_results(ns.min, ns.max, ns.brute_below, jobs)
 
+    failures: list[str] = []
+
     def entries():
-        failures, checked = [], 0
+        checked = 0
         for result in results:
             checked += 1
-            if "reason" in result:
+            if type(result) is str:
                 failures.append(result)
             else:
                 yield result
         report.summary = {"primes_checked": checked, "failures": len(failures)}
-        for failure in failures:
-            report.stderr += [f"FAILURE p={failure['p']}: {failure['reason']}", failure]
 
     report = Report(
         f'{{\n    "min": {ns.min},\n    "max": {ns.max},\n'
@@ -529,6 +492,7 @@ def cmd_lemma5(ns) -> Report:
         ],
         head=f"generator pairs for primes in [{ns.min}, {ns.max}]",
         tail="primes_checked={primes_checked} failures={failures}",
+        stderr=failures,
     )
     return report
 
@@ -537,23 +501,25 @@ def cmd_lemma5(ns) -> Report:
 # invariants: Q, normalized pair and canonical form of one lens space
 
 
-def _invariants_text(e: dict) -> str:
+def _invariants_text(e: tuple) -> str:
+    p, weights, q, (b0, b1), (c0, c1) = e
     return (
-        f"p={e['p']} weights=({','.join(map(str, e['weights']))})\n"
-        f"Q = {e['Q']}\n"
-        f"pair = ({e['pair'][0]}, {e['pair'][1]})\n"
-        f"canonical = ({e['canonical'][0]}, {e['canonical'][1]})"
+        f"p={p} weights=({','.join(map(str, weights))})\n"
+        f"Q = {q}\n"
+        f"pair = ({b0}, {b1})\n"
+        f"canonical = ({c0}, {c1})"
     )
 
 
-def _invariants_json(e: dict) -> str:
-    """An ``invariants`` entry as ``_json(e, "    ")`` writes it."""
+def _invariants_json(e: tuple) -> str:
+    """An ``invariants`` entry as ``json.dumps`` writes it in a report."""
+    p, weights, q, pair, canonical = e
     return f"""{{
-      "p": {e['p']},
-      "weights": {_json_list(map(str, e['weights']))},
-      "Q": {e['Q']},
-      "pair": {_json_list(map(str, e['pair']))},
-      "canonical": {_json_list(map(str, e['canonical']))}
+      "p": {p},
+      "weights": {_json_list(map(str, weights))},
+      "Q": {q},
+      "pair": {_json_list(map(str, pair))},
+      "canonical": {_json_list(map(str, canonical))}
     }}"""
 
 
@@ -561,13 +527,8 @@ def cmd_invariants(ns) -> Report:
     # p and the weights are checked once, by LensSpace; the rest is on ints
     lens = LensSpace(ns.p, ns.q)
     q = q_sum(lens)
-    entry = {
-        "p": ns.p,
-        "weights": list(lens.weights),
-        "Q": q,
-        "pair": [1, q],  # pontrjagin_pair(lens), whose beta0 is 1
-        "canonical": list(_canonical(1, q, lens.p)),
-    }
+    # the pair is pontrjagin_pair(lens), whose beta0 is 1
+    entry = (ns.p, lens.weights, q, (1, q), _canonical(1, q, lens.p))
     return Report(
         f'{{\n    "p": {ns.p},\n    "q": {_json_list(map(str, ns.q), "    ")}\n  }}',
         [entry],
@@ -581,32 +542,34 @@ def cmd_invariants(ns) -> Report:
 # independent: verdict for two weight triples, optionally oracle-checked
 
 
-def _independent_text(e: dict) -> str:
+def _independent_text(e: tuple) -> str:
+    p, weights_a, weights_b, q, r, verdict, oracle, agree = e
     text = (
-        f"p={e['p']}\n"
-        f"A: weights=({','.join(map(str, e['weights_a']))}) Q={e['Q']}\n"
-        f"B: weights=({','.join(map(str, e['weights_b']))}) R={e['R']}\n"
-        f"verdict: {'independent' if e['independent'] else 'dependent'}"
+        f"p={p}\n"
+        f"A: weights=({','.join(map(str, weights_a))}) Q={q}\n"
+        f"B: weights=({','.join(map(str, weights_b))}) R={r}\n"
+        f"verdict: {'independent' if verdict else 'dependent'}"
     )
-    if e["oracle"] is None:
+    if oracle is None:
         return text
     return (
-        f"{text}\noracle: {'independent' if e['oracle'] else 'dependent'} "
-        f"({'agree' if e['agree'] else 'DISAGREE'})"
+        f"{text}\noracle: {'independent' if oracle else 'dependent'} "
+        f"({'agree' if agree else 'DISAGREE'})"
     )
 
 
-def _independent_json(e: dict) -> str:
-    """An ``independent`` entry as ``_json(e, "    ")`` writes it."""
+def _independent_json(e: tuple) -> str:
+    """An ``independent`` entry as ``json.dumps`` writes it in a report."""
+    p, weights_a, weights_b, q, r, verdict, oracle, agree = e
     return f"""{{
-      "p": {e['p']},
-      "weights_a": {_json_list(map(str, e['weights_a']))},
-      "weights_b": {_json_list(map(str, e['weights_b']))},
-      "Q": {e['Q']},
-      "R": {e['R']},
-      "independent": {_scalar(e['independent'])},
-      "oracle": {_scalar(e['oracle'])},
-      "agree": {_scalar(e['agree'])}
+      "p": {p},
+      "weights_a": {_json_list(map(str, weights_a))},
+      "weights_b": {_json_list(map(str, weights_b))},
+      "Q": {q},
+      "R": {r},
+      "independent": {_scalar(verdict)},
+      "oracle": {_scalar(oracle)},
+      "agree": {_scalar(agree)}
     }}"""
 
 
@@ -623,16 +586,7 @@ def cmd_independent(ns) -> Report:
     if ns.brute:
         oracle = independent_bruteforce(pontrjagin_pair(lens_a), pontrjagin_pair(lens_b))
     agree = None if oracle is None else oracle == verdict
-    entry = {
-        "p": ns.p,
-        "weights_a": list(lens_a.weights),
-        "weights_b": list(lens_b.weights),
-        "Q": q,
-        "R": r,
-        "independent": verdict,
-        "oracle": oracle,
-        "agree": agree,
-    }
+    entry = (ns.p, lens_a.weights, lens_b.weights, q, r, verdict, oracle, agree)
     failures = int(agree is False)
     return Report(
         f'{{\n    "p": {ns.p},\n    "qa": {_json_list(map(str, ns.qa), "    ")},\n'
@@ -654,14 +608,14 @@ def cmd_independent(ns) -> Report:
 # orders / orders-d3: order formulas for cyclic and metacyclic groups
 
 
-def _orders_text(e: dict) -> str:
+def _orders_text(e: tuple) -> str:
+    p, k, order, lens_order, structure, extension, non_split = e
     text = (
-        f"p={e['p']} k={e['k']}\n"
-        f"bordism order: {e['bordism_order']}\n"
-        f"lens class order: {e['lens_class_order']}\n"
-        f"group structure: {e['group_structure']}"
+        f"p={p} k={k}\n"
+        f"bordism order: {order}\n"
+        f"lens class order: {lens_order}\n"
+        f"group structure: {structure}"
     )
-    extension, non_split = e["extension_order_check"], e["non_splitness"]
     if extension is None:
         return text
     if extension == "unspecified":
@@ -672,18 +626,19 @@ def _orders_text(e: dict) -> str:
     )
 
 
-def _orders_json(e: dict) -> str:
-    """An ``orders`` entry as ``_json(e, "    ")`` writes it: the lens class
-    order and group structure may be "unspecified", and the last two checks
-    "unspecified" or null."""
+def _orders_json(e: tuple) -> str:
+    """An ``orders`` entry as ``json.dumps`` writes it in a report: the lens
+    class order and group structure may be "unspecified", and the last two
+    checks "unspecified" or null."""
+    p, k, order, lens_order, structure, extension, non_split = e
     return f"""{{
-      "p": {e['p']},
-      "k": {e['k']},
-      "bordism_order": {e['bordism_order']},
-      "lens_class_order": {_scalar(e['lens_class_order'])},
-      "group_structure": {_quote(e['group_structure'])},
-      "extension_order_check": {_scalar(e['extension_order_check'])},
-      "non_splitness": {_scalar(e['non_splitness'])}
+      "p": {p},
+      "k": {k},
+      "bordism_order": {order},
+      "lens_class_order": {_scalar(lens_order)},
+      "group_structure": {_quote(structure)},
+      "extension_order_check": {_scalar(extension)},
+      "non_splitness": {_scalar(non_split)}
     }}"""
 
 
@@ -706,38 +661,36 @@ def cmd_orders(ns) -> Report:
         non_split = non_splitness_witness(p, k)
     elif k >= 2:
         extension = non_split = "unspecified"
-    entry = {
-        "p": ns.p,
-        "k": k,
-        "bordism_order": order,
-        "lens_class_order": lens_order,
-        "group_structure": structure,
-        "extension_order_check": extension,
-        "non_splitness": non_split,
-    }
+    entry = (ns.p, k, order, lens_order, structure, extension, non_split)
+    fields = [
+        "p", "k", "bordism_order", "lens_class_order", "group_structure",
+        "extension_order_check", "non_splitness",
+    ]
     params = f'{{\n    "p": {ns.p},\n    "k": {k}\n  }}'
-    return Report(params, [entry], _orders_text, _orders_json, list(entry))
+    return Report(params, [entry], _orders_text, _orders_json, fields)
 
 
-def _orders_d3_text(e: dict) -> str:
+def _orders_d3_text(e: tuple) -> str:
+    p, k, m, n, r, group_order, order, _ = e
     return (
-        f"p={e['p']} k={e['k']}\n"
-        f"group: m={e['m']} n={e['n']} r={e['r']} (order {e['group_order']})\n"
-        f"bordism order: {e['bordism_order']} (cyclic)"
+        f"p={p} k={k}\n"
+        f"group: m={m} n={n} r={r} (order {group_order})\n"
+        f"bordism order: {order} (cyclic)"
     )
 
 
-def _orders_d3_json(e: dict) -> str:
-    """An ``orders-d3`` entry as ``_json(e, "    ")`` writes it."""
+def _orders_d3_json(e: tuple) -> str:
+    """An ``orders-d3`` entry as ``json.dumps`` writes it in a report."""
+    p, k, m, n, r, group_order, order, cyclic = e
     return f"""{{
-      "p": {e['p']},
-      "k": {e['k']},
-      "m": {e['m']},
-      "n": {e['n']},
-      "r": {e['r']},
-      "group_order": {e['group_order']},
-      "bordism_order": {e['bordism_order']},
-      "cyclic": {_scalar(e['cyclic'])}
+      "p": {p},
+      "k": {k},
+      "m": {m},
+      "n": {n},
+      "r": {r},
+      "group_order": {group_order},
+      "bordism_order": {order},
+      "cyclic": {_scalar(cyclic)}
     }}"""
 
 
@@ -747,18 +700,10 @@ def cmd_orders_d3(ns) -> Report:
     p = PrimeModulus(ns.p)
     order = bordism_order_metacyclic_d3(p, ns.k)
     m, n, r = _d_pk3(p, ns.k)
-    entry = {
-        "p": ns.p,
-        "k": ns.k,
-        "m": m,
-        "n": n,
-        "r": r,
-        "group_order": m * n,
-        "bordism_order": order,
-        "cyclic": True,
-    }
+    entry = (ns.p, ns.k, m, n, r, m * n, order, True)
+    fields = ["p", "k", "m", "n", "r", "group_order", "bordism_order", "cyclic"]
     params = f'{{\n    "p": {ns.p},\n    "k": {ns.k}\n  }}'
-    return Report(params, [entry], _orders_d3_text, _orders_d3_json, list(entry))
+    return Report(params, [entry], _orders_d3_text, _orders_d3_json, fields)
 
 
 # ---------------------------------------------------------------------------
@@ -780,9 +725,9 @@ def _groups_row(e: tuple) -> list:
 
 
 def _groups_json(e: tuple) -> str:
-    """A ``groups`` entry, the walk's (m, n, r, sylow), as ``_json(d, "    ")``
-    writes the dict d it stands for: m, n, r, the order m*n, one {prime,
-    order, shape} per (prime, order) pair of ``sylow`` and
+    """A ``groups`` entry, the walk's (m, n, r, sylow), as ``json.dumps``
+    writes the object it stands for in a report: m, n, r, the order m*n, one
+    {prime, order, shape} per (prime, order) pair of ``sylow`` and
     ``theorem1_applies``.  Every Sylow subgroup is cyclic of the full
     prime-power order, as ``sylow_structure`` says."""
     m, n, r, sylow = e
@@ -904,7 +849,7 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
     """A new full parser, built from ``_COMMANDS``."""
     import argparse
 
@@ -976,7 +921,7 @@ def _parse_direct(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=argv[0], **values)
 
 
-def _parse(argv: list[str]) -> SimpleNamespace | argparse.Namespace:
+def _parse(argv: list[str]):
     """``build_parser().parse_args(argv)``: ``_parse_direct`` where it gives
     a namespace, else a full parser built for this call."""
     ns = _parse_direct(argv)
@@ -1019,8 +964,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if report.stderr:
-        lines = (line if isinstance(line, str) else _json(line) for line in report.stderr)
-        sys.stderr.write("".join(line + "\n" for line in lines))
+        sys.stderr.write("".join(line + "\n" for line in report.stderr))
     return EXIT_FAILURE if report.summary["failures"] else EXIT_OK
 
 

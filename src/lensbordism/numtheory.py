@@ -6,24 +6,25 @@ where k, from 1 to 13 (2, 3, ..., 41), is the fewest that no composite
 of n's size passes (Jaeschke 1993; Sorenson and Webster 2017), so
 ``is_prime`` is exact below 3,317,044,064,679,887,385,961,981 and raises
 ``RangeError`` at or above it; a call costs at most thirteen modular
-powers, five at 12 digits, not O(sqrt n) divisions.  Quadratic residuosity is decided by raising to the
-power (p-1)/2 (Euler's criterion), and the sum-of-three-unit-squares search
-always returns the lexicographically least witness so that downstream
-reports are reproducible bit for bit.  That search keeps no per-prime
-state: a candidate remainder that is a square as an integer, c**2, has the
-roots c and p - c at once; any other is tested with Euler's criterion and,
-when it is a square, one Adleman-Manders-Miller root (``_root_mod``, also
-the package's cube roots) gives both of its roots, so a call costs a few
-O(log p) modular powers per candidate rather than an O(p) table of roots.
-Residues and primes are ints: a prime is tested once, by the one rule
-``_prime_modulus``, and then passed on as a ``PrimeModulus``, an int.
-Ranges of primes come from ``_prime_stream``: a range too narrow to repay
-a sieve's set-up is tested number by number with ``is_prime``, and any
-other is a segmented sieve, which sieves the base primes up to the square
-root of the range's end, then strikes their multiples from one window of
-the range at a time and yields each prime as it is found, so a range holds
-one window in memory and a range far from 2 is not sieved from 2;
-``primes_in_range`` is its list.
+powers, five at 12 digits, not O(sqrt n) divisions.  Quadratic residuosity
+is decided by raising to the power (p-1)/2 (Euler's criterion), and the
+sum-of-three-unit-squares search always returns the lexicographically
+least witness so that downstream reports are reproducible bit for bit.
+That search keeps no per-prime state: a candidate remainder that is a
+square as an integer, c**2, has the roots c and p - c at once; any other
+is tested with Euler's criterion and, when it is a square, one
+Adleman-Manders-Miller root (``_root_mod``, also the package's cube roots)
+gives both of its roots, so a call costs a few O(log p) modular powers per
+candidate rather than an O(p) table of roots.  Residues and primes are
+ints: a prime is tested once, by the one rule ``_prime_modulus``, and then
+passed on as a ``PrimeModulus``, an int.  Ranges of primes come from
+``_prime_stream``: a range too narrow to repay a sieve's set-up is tested
+number by number with ``is_prime``, and any other is a segmented sieve,
+which sieves the base primes up to the square root of the range's end,
+then strikes their multiples from one window of the range at a time and
+yields each prime as it is found, so a range holds one window in memory
+and a range far from 2 is not sieved from 2; ``primes_in_range`` is its
+list.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import errno
+import inspect
 import io
 import json
 import os
@@ -14,6 +15,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import typing
 from pathlib import Path
 from unittest import mock
 
@@ -22,7 +24,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lensbordism import __version__, cli, groups, orders
-from lensbordism.cli import Report, _json, _write_report, main
+from lensbordism.cli import Report, _write_report, main
 from lensbordism.groups import MetacyclicParams, sylow_structure
 from lensbordism.lens import (
     LensSpace,
@@ -467,24 +469,32 @@ def test_p_is_tested_for_primality_once_per_query(capsys, is_prime_calls, args):
         ("orders", "--p", "5", "--k", "2"),
         ("orders", "--p", "3", "--k", "1"),
         ("orders-d3", "--p", "7"),
+        ("lemma5", "--min", "5", "--max", "5"),
+        ("lemma5", "--min", "5", "--max", "9000", "--jobs", "2"),
+        ("independent", "--p", "101", "--qa", "1,1,1", "--qb", "1,1,2"),
+        ("groups", "--max-order", "300"),
     ],
 )
 def test_reports_hold_plain_ints(args):
-    """No ``PrimeModulus`` reaches a report, whatever the handler computed
-    with: its values are plain ints, as ``_json`` writes them fastest."""
+    """Every entry is a plain tuple, which its writers unpack, and no
+    ``PrimeModulus`` reaches a report, whatever the handler computed with:
+    its values are plain ints, as ``marshal`` and the f-string writers take
+    them."""
     ns = cli.build_parser().parse_args(args)
     report = getattr(cli, "cmd_" + ns.command.replace("-", "_"))(ns)
     entries = list(report.entries)
-    assert entries
+    assert entries and all(type(entry) is tuple for entry in entries)
 
     def prime_moduli(value):
         if isinstance(value, dict):
             value = list(value.values())
-        if isinstance(value, list):
+        if isinstance(value, (list, tuple)):
             return [x for v in value for x in prime_moduli(v)]
         return [value] if isinstance(value, PrimeModulus) else []
 
     assert prime_moduli([report.params, entries, report.summary]) == []
+    planted = PrimeModulus(7)
+    assert prime_moduli([report.params, [(1, (2, planted))], {"n": 0}]) == [planted]
 
 
 def recording_stream(monkeypatch, path):
@@ -512,8 +522,8 @@ def test_lemma5_in_process_sieves_its_range_once(monkeypatch, tmp_path, span, jo
     entries = list(cli.cmd_lemma5(ns).entries)
     assert path.read_text().split("\n") == [f"{os.getpid()} 5 {span}", ""]
     primes = list(_prime_stream(5, int(span)))
-    assert [e["p"] for e in entries] == primes and primes[:4] == [5, 7, 11, 13]
-    assert all(type(e["p"]) is int for e in entries)
+    assert [e[0] for e in entries] == primes and primes[:4] == [5, 7, 11, 13]
+    assert all(type(e[0]) is int for e in entries)
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
@@ -543,7 +553,7 @@ def test_lemma5_workers_sieve_only_their_own_blocks(monkeypatch, tmp_path, jobs)
     assert sorted(calls, key=lambda call: call[1]) == [
         (pids[k % jobs], lo, hi) for k, (lo, hi) in enumerate(blocks)
     ]
-    assert [e["p"] for e in entries] == list(_prime_stream(5, 20000))
+    assert [e[0] for e in entries] == list(_prime_stream(5, 20000))
     assert report.summary == {"primes_checked": 2260, "failures": 0}
 
 
@@ -800,6 +810,20 @@ print(code, *sorted(set(sys.modules) - before))
     assert proc.stderr.startswith("usage: lensbordism [-h]")
 
 
+def test_every_function_in_cli_has_type_hints_that_resolve():
+    """The annotations of each function and method that ``cli`` defines name
+    only what ``cli`` binds at import, so ``typing.get_type_hints`` resolves
+    them all (argparse is imported only where a parser is built)."""
+    defined = [v for v in vars(cli).values() if getattr(v, "__module__", None) == cli.__name__]
+    functions = [f for f in defined if inspect.isfunction(f)]
+    functions += [
+        m for c in defined if isinstance(c, type) for m in vars(c).values() if inspect.isfunction(m)
+    ]
+    assert {cli.build_parser, cli._parse, cli.main, cli.Report.__init__} <= set(functions)
+    for function in functions:
+        typing.get_type_hints(function)
+
+
 def test_memory_error_is_one_error_line(capsys, monkeypatch):
     """Out of memory is one error line: before the first byte (the ``groups``
     factor table is built before the report starts) stdout stays empty, and
@@ -1030,13 +1054,12 @@ JSON_VALUES = st.recursive(
 )
 
 
-@given(JSON_VALUES)
-@example({})
-@example([])
-@example({"a": [], "b": {}, "c": [[], {}], "\u00e9\u4e2d": -(2**70)})
-@example({"p": PrimeModulus(7)})  # written as {"p": 7}
-def test_json_writer_matches_json_dumps(value):
-    assert _json(value) == json.dumps(value, indent=2)
+def indented(value, pad: str = "    ") -> str:
+    """``value`` as ``json.dumps`` writes it with an indent of 2, each line
+    after the first indented by ``pad``, by default as an entry sits in a
+    report.  A string's newlines are escaped, so every newline is a line's
+    end."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
 @given(
@@ -1050,9 +1073,7 @@ def test_streamed_report_matches_json_dumps(params, entries, summary):
     JSON text, the entries, as their writer renders them, and a summary of
     ints is laid out as ``json.dumps`` lays out the whole report."""
     out = io.StringIO()
-    report = Report(
-        _json(params, "  "), iter(entries), str, lambda e: _json(e, "    "), [], summary=summary
-    )
+    report = Report(indented(params, "  "), iter(entries), str, indented, [], summary=summary)
     _write_report(report, "cmd", "json", out)
     data = {
         "version": __version__,
@@ -1062,6 +1083,28 @@ def test_streamed_report_matches_json_dumps(params, entries, summary):
         "summary": summary,
     }
     assert out.getvalue() == json.dumps(data, indent=2) + "\n"
+
+
+# The keys of each command's entries but ``groups``, in the order of the
+# tuple's values: the layout that the command's JSON writer must write.
+ENTRY_KEYS = {
+    "lemma5": ("p", "weights_a", "weights_b", "Q", "R", "stage", "certificate", "brute_checked"),
+    "invariants": ("p", "weights", "Q", "pair", "canonical"),
+    "independent": ("p", "weights_a", "weights_b", "Q", "R", "independent", "oracle", "agree"),
+    "orders": (
+        "p", "k", "bordism_order", "lens_class_order", "group_structure",
+        "extension_order_check", "non_splitness",
+    ),
+    "orders-d3": ("p", "k", "m", "n", "r", "group_order", "bordism_order", "cyclic"),
+}
+
+
+def entry_dict(command: str, entry: tuple) -> dict:
+    """The dict that an entry of ``command`` stands for in a JSON report,
+    each tuple in it a list, as ``json.dumps`` writes it."""
+    if command == "groups":
+        return groups_entry_dict(entry)
+    return dict(zip(ENTRY_KEYS[command], entry, strict=True))
 
 
 def groups_entry_dict(entry: tuple) -> dict:
@@ -1080,25 +1123,20 @@ def groups_entry_dict(entry: tuple) -> dict:
 
 
 @pytest.mark.parametrize(
-    "args, renderer, as_dict",
+    "args, renderer",
     [
-        (("lemma5", "--min", "5", "--max", "20000"), cli._lemma5_json, dict),
+        (("lemma5", "--min", "5", "--max", "20000"), cli._lemma5_json),
         # brute-checked up to the largest --brute-below that --max 20000 admits
-        (
-            ("lemma5", "--min", "5", "--max", "20000", "--brute-below", "10000"),
-            cli._lemma5_json,
-            dict,
-        ),
-        (("groups", "--max-order", "3000"), cli._groups_json, groups_entry_dict),
+        (("lemma5", "--min", "5", "--max", "20000", "--brute-below", "10000"), cli._lemma5_json),
+        (("groups", "--max-order", "3000"), cli._groups_json),
     ],
     ids=["lemma5", "lemma5-brute-checked", "groups"],
 )
-def test_entry_templates_match_json_writer_over_whole_ranges(args, renderer, as_dict):
+def test_entry_templates_match_json_writer_over_whole_ranges(args, renderer):
     """A renderer that drifts from the entry's layout, such as a key renamed
-    or moved, renders differently from ``_json``.  A ``lemma5`` entry is the
-    dict the handler builds; a ``groups`` entry is the walk's tuple, whose
-    layout ``groups_entry_dict`` holds.  The renderers are plain
-    module-level functions, so they pickle."""
+    or moved, renders differently from ``json.dumps`` of the dict the entry
+    stands for (``entry_dict``); a ``groups`` entry is the walk's tuple.
+    The renderers are plain module-level functions, so they pickle."""
     ns = cli.build_parser().parse_args(args)
     report = getattr(cli, "cmd_" + ns.command)(ns)
     assert report.to_json is renderer
@@ -1108,7 +1146,7 @@ def test_entry_templates_match_json_writer_over_whole_ranges(args, renderer, as_
     if ns.command == "groups":
         assert entries == list(groups._presentations(3000))
     for entry in entries:
-        assert renderer(entry) == _json(as_dict(entry), "    "), entry
+        assert renderer(entry) == indented(entry_dict(ns.command, entry)), entry
 
 
 SMALL_PRIMES = [int(q) for q in _prime_stream(3, 2000)]
@@ -1151,15 +1189,16 @@ def single_entry_queries(draw):
 @example(["independent", "--p", "101", "--qa", "1,1,1", "--qb", "1,1,2"])  # no oracle
 @example(["independent", "--p", "5", "--qa", "1,1,1", "--qb", "1,1,1", "--brute"])  # dependent
 def test_entry_writers_match_json_writer_on_drawn_queries(argv):
-    """Each one-entry report's f-string writer renders its entry as ``_json``
-    does, and the whole report, its params written by the handler's own
-    f-string, is ``json.dumps``'s layout of the namespace's values."""
+    """Each one-entry report's f-string writer renders its entry as
+    ``json.dumps`` renders the dict it stands for, and the whole report,
+    its params written by the handler's own f-string, is ``json.dumps``'s
+    layout of the namespace's values."""
     ns = cli.build_parser().parse_args(argv)
     report = getattr(cli, "cmd_" + ns.command.replace("-", "_"))(ns)
     writer = ENTRY_WRITERS[ns.command]
     assert report.to_json is writer
     [entry] = report.entries
-    assert writer(entry) == _json(entry, "    ")
+    assert writer(entry) == indented(entry_dict(ns.command, entry))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main([*argv, "--format", "json"]) == 0
@@ -1174,7 +1213,7 @@ def test_entry_writers_match_json_writer_on_drawn_queries(argv):
         "version": __version__,
         "command": ns.command,
         "params": params,
-        "entries": [entry],
+        "entries": [json.loads(json.dumps(entry_dict(ns.command, entry)))],
         "summary": {"failures": 0},
     }
 
@@ -1194,29 +1233,20 @@ def test_int_paths_match_the_public_records_at_every_prime_below_2000():
         triple_a, triple_b = ",".join(map(str, qa)), ",".join(map(str, qb))
         ns = parser.parse_args(["invariants", "--p", str(p), "--q", triple_a])
         assert cli.cmd_invariants(ns).entries == [
-            {
-                "p": p,
-                "weights": list(lens_a.weights),
-                "Q": q_sum(lens_a),
-                "pair": list(pair_a.values()),
-                "canonical": list(canonical_form(pair_a).values()),
-            }
+            (
+                p,
+                lens_a.weights,
+                q_sum(lens_a),
+                tuple(pair_a.values()),
+                tuple(canonical_form(pair_a).values()),
+            )
         ], p
         if p < 5:
             continue
         argv = ["independent", "--p", str(p), "--qa", triple_a, "--qb", triple_b, "--brute"]
         oracle = independent_bruteforce(pair_a, pair_b)
         assert cli.cmd_independent(parser.parse_args(argv)).entries == [
-            {
-                "p": p,
-                "weights_a": list(lens_a.weights),
-                "weights_b": list(lens_b.weights),
-                "Q": q_sum(lens_a),
-                "R": q_sum(lens_b),
-                "independent": oracle,
-                "oracle": oracle,
-                "agree": True,
-            }
+            (p, lens_a.weights, lens_b.weights, q_sum(lens_a), q_sum(lens_b), oracle, oracle, True)
         ], p
 
 
@@ -1402,7 +1432,7 @@ finally:
         real, rendered = cli._lemma5_json, []
 
         def interrupted(entry):
-            rendered.append(entry["p"])
+            rendered.append(entry[0])
             if len(rendered) == 600:  # in block 1, so both workers have run
                 raise KeyboardInterrupt
             return real(entry)
