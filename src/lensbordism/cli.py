@@ -102,13 +102,13 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a write to a closed 
 # sieve holds one window and the primes up to isqrt(--max), while the
 # `groups` smallest-prime-factor table grows about linearly with its bound
 # (reports and presentations are streamed).  At these bounds a JSON run
-# peaked at 14.6-14.7 MB (``lemma5``, near the 14.1 MB of a one-prime run)
-# and 15.5-15.6 MB (``groups``) and took 1.43-1.54 s (``lemma5 --jobs 1``),
-# 0.86-0.97 s (``--jobs 2``) and 0.49-0.57 s (``groups``) on a shared
-# 2-core machine (quartiles of 7 rounds of ``tools/capbench.py``,
-# ``BENCH_33.json``; Python 3.11).
-LEMMA5_MAX = 10**6
-GROUPS_MAX_ORDER = 10**5
+# peaked at 13.9-14.0 MB (``lemma5``, as at 10^6) and 25.2-25.3 MB
+# (``groups``) and took 16.8-18.9 s (``lemma5 --jobs 1``), 10.4-10.7 s
+# (``--jobs 2``) and 9.3-9.6 s (``groups``) on a shared 2-core machine
+# (quartiles of 5 rounds of ``tools/capbench.py``, ``BENCH_36.json``;
+# Python 3.11).
+LEMMA5_MAX = 10**7
+GROUPS_MAX_ORDER = 10**6
 # Largest `--p` accepted with `independent --brute`: the oracle is O(p) time
 # and p bytes, and a whole CLI run on an independent pair at p = 999983 took
 # 0.32-0.40 s on the same machine.
@@ -188,7 +188,12 @@ class _Batched:
     """A text sink that passes its writes on to ``out`` about 64 KiB at a
     time.  Where stdout is unbuffered (``python -u``), each write to it is a
     system call: one per entry took a JSON ``groups --max-order 3000`` from
-    162 to 179 ms (medians of 40 runs)."""
+    162 to 179 ms (medians of 40 runs).  It pays on a buffered stdout too
+    when that is a pipe, as for a report read by another program: writing
+    each entry straight to ``out`` made the same spawned run slower in 17
+    and 14 of 20 alternated spawns (medians 81.6 against 75.0 ms and 98.3
+    against 93.9 ms, a shared 2-core machine), while to ``/dev/null`` it
+    was slower in only 12 and 9 of 20, no steady difference."""
 
     def __init__(self, out) -> None:
         self.out, self.parts, self.size = out, [], 0
@@ -282,26 +287,26 @@ def _triple(text: str) -> tuple[int, int, int]:
 # lemma5: per-prime generator-pair verification over a range
 
 
-def _lemma5_worker(pm: PrimeModulus, brute_below: int) -> tuple | str:
+def _lemma5_worker(p: int, brute_below: int) -> tuple | str:
     """Verify one prime; returns its entry, or a failure as the text to
     write to stderr: a ``FAILURE p=...`` line and then its record as JSON,
     with ``ok`` false, p, the ``reason`` and the trace or entry.
 
-    The search runs on ints (``_generator_pair``); the prime stream, or
-    ``is_prime`` for a range of one number, has already tested ``pm``, and
-    ``LensSpace``s are built from it only for the oracle, which checks the
-    pairs of the weights found.  An entry is (p, weights_a, weights_b, Q, R,
-    stage, certificate, brute_checked), with p as a plain int, as
-    ``marshal`` needs."""
-    p = int(pm)
+    p is a plain int that the prime stream, or ``is_prime`` for a range of
+    one number, has already tested, and the search runs on it as it is
+    (``_generator_pair``), building no record.  Only the oracle wraps p,
+    untested, for the ``LensSpace``s whose pairs it checks.  An entry is
+    (p, weights_a, weights_b, Q, R, stage, certificate, brute_checked), all
+    plain values, as ``marshal`` needs."""
     try:
-        stage, q, r, certificate, weights_a, weights_b, _ = _generator_pair(pm)
+        stage, q, r, certificate, weights_a, weights_b, _ = _generator_pair(p)
     except SearchExhausted as exc:
         reason, detail = "search exhausted", {"trace": [step._asdict() for step in exc.trace]}
     else:
         entry = (p, weights_a, weights_b, q, r, stage, certificate, p <= brute_below)
         if p > brute_below:
             return entry
+        pm = PrimeModulus._trusted(p)
         pair_a = pontrjagin_pair(LensSpace(pm, weights_a))
         pair_b = pontrjagin_pair(LensSpace(pm, weights_b))
         if independent(pair_a, pair_b) and independent_bruteforce(pair_a, pair_b):
@@ -463,8 +468,7 @@ def cmd_lemma5(ns) -> Report:
     # forked path runs anywhere
     jobs = ns.jobs or cpus
     if ns.min == ns.max:  # one number: tested here, with no stream to set up
-        prime = is_prime(ns.min)
-        results = [_lemma5_worker(PrimeModulus._trusted(ns.min), ns.brute_below)] if prime else []
+        results = [_lemma5_worker(ns.min, ns.brute_below)] if is_prime(ns.min) else []
     else:
         results = _lemma5_results(ns.min, ns.max, ns.brute_below, jobs)
 

@@ -20,8 +20,10 @@ R * k**2 = Q over units, where Q and R are the two beta1/beta0 slopes.
 
 ``find_generator_pair`` runs the staged search that produces, for every prime
 p >= 5, two lens spaces with independent pairs, together with a trace of the
-candidates it tried.  The search itself runs on ints, on a p checked once:
-it yields weight triples, and the checked ``LensSpace`` records and the
+candidates it tried.  The search itself (``_generator_pair``) is one loop on
+plain ints, on a p checked once: it returns the winning candidate, its two
+weight triples and how many candidates it tried, and builds no record.  The
+checked ``LensSpace`` records, the trace (replayed by ``_trace``) and the
 result are built once, at that public edge.
 """
 
@@ -44,7 +46,7 @@ from .numtheory import (
     _prime_modulus,
     _residue,
     _root_mod,
-    sum_three_unit_squares,
+    _three_squares,
 )
 
 
@@ -286,26 +288,36 @@ def _candidates(p: int):
         yield ("iii" if q else "iv"), q, 2
 
 
-def _generator_pair(p: PrimeModulus) -> tuple:
+def _generator_pair(p: int) -> tuple:
     """The staged search of ``find_generator_pair`` on plain ints, for a p
-    already checked to be a prime >= 5.
+    already known to be a prime >= 5, which is not checked again.
 
-    Returns (stage, q, r, certificate, weights_a, weights_b, proof_trace),
-    the fields of a ``GeneratorPairResult`` with the two weight triples in
-    place of its lens spaces, or raises ``SearchExhausted`` with the trace.
+    Returns (stage, q, r, certificate, weights_a, weights_b, tried): the
+    first dependence-free candidate, its two weight triples
+    (``_three_squares``) and the number of candidates tried, that one
+    included.  It builds no ``TraceStep``; ``_trace(p, tried)`` replays the
+    candidates where a trace is wanted.  A dependence-free candidate is
+    always realized, since every residue is a sum of three unit squares for
+    p >= 7 and every nonzero one at p = 5, where stage i wins; so the first
+    one wins, as ``find_generator_pair`` explains.  ``SearchExhausted``,
+    with the whole trace, is only a guard.
     """
-    trace = []
-    for stage, q, r in _candidates(p):
+    for tried, (stage, q, r) in enumerate(_candidates(p), 1):
         ok, tested = _dependence_free(p, q, r)
-        wa = wb = None
         if ok:
-            wa = sum_three_unit_squares(q % p, p)
-            wb = sum_three_unit_squares(r % p, p)
-        realized = wa is not None and wb is not None
-        trace.append(TraceStep(stage, q, r, tested, ok, realized))
-        if realized:
-            return stage, q, r, tested, wa, wb, tuple(trace)
-    raise SearchExhausted(p, trace)
+            return stage, q, r, tested, _three_squares(q % p, p), _three_squares(r % p, p), tried
+    raise SearchExhausted(p, _trace(p, p + 1))
+
+
+def _trace(p: int, tried: int) -> tuple:
+    """The proof trace of the search at p: a ``TraceStep`` for each of the
+    first ``tried`` candidates, with ``realized`` equal to
+    ``independent_ok`` (``_generator_pair``)."""
+    steps = []
+    for _, (stage, q, r) in zip(range(tried), _candidates(p)):
+        ok, tested = _dependence_free(p, q, r)
+        steps.append(TraceStep(stage, q, r, tested, ok, ok))
+    return tuple(steps)
 
 
 def find_generator_pair(p: int) -> GeneratorPairResult:
@@ -326,11 +338,12 @@ def find_generator_pair(p: int) -> GeneratorPairResult:
     (``_prime_modulus``).
 
     This is the search's public edge: p is checked here, once, the search
-    itself (``_generator_pair``) runs on ints, and the two ``LensSpace``s
-    and the result are built here from the triples it found.
+    itself (``_generator_pair``) runs on ints, and the two ``LensSpace``s,
+    the proof trace (``_trace``, a replay of the candidates it tried) and
+    the result are built here.
     """
     p = _prime_modulus(p, 5)
-    stage, q, r, certificate, wa, wb, trace = _generator_pair(p)
+    stage, q, r, certificate, wa, wb, tried = _generator_pair(p)
     return GeneratorPairResult(
-        p, LensSpace(p, wa), LensSpace(p, wb), q, r, stage, certificate, trace
+        p, LensSpace(p, wa), LensSpace(p, wb), q, r, stage, certificate, _trace(p, tried)
     )

@@ -16,15 +16,18 @@ is tested with Euler's criterion and, when it is a square, one
 Adleman-Manders-Miller root (``_root_mod``, also the package's cube roots)
 gives both of its roots, so a call costs a few O(log p) modular powers per
 candidate rather than an O(p) table of roots.  Residues and primes are
-ints: a prime is tested once, by the one rule ``_prime_modulus``, and then
-passed on as a ``PrimeModulus``, an int.  Ranges of primes come from
-``_prime_stream``: a range too narrow to repay a sieve's set-up is tested
-number by number with ``is_prime``, and any other is a segmented sieve,
-which sieves the base primes up to the square root of the range's end,
-then strikes their multiples from one window of the range at a time and
-yields each prime as it is found, so a range holds one window in memory
-and a range far from 2 is not sieved from 2; ``primes_in_range`` is its
-list.
+ints: a prime argument is tested once, by the one rule ``_prime_modulus``,
+and then passed on as a ``PrimeModulus``, an int.  The private cores
+(``_prime_stream``, ``_three_squares``) take and give plain ints that
+their callers already trust, and the public functions check their
+arguments and build the records, once, at that edge.  Ranges of primes
+come from ``_prime_stream``: a range too narrow to repay a sieve's set-up
+is tested number by number with ``is_prime``, and any other is a
+segmented sieve, which sieves the base primes up to the square root of
+the range's end, then strikes their multiples from one window of the
+range at a time and yields each prime as it is found, so a range holds
+one window in memory and a range far from 2 is not sieved from 2;
+``primes_in_range`` is its list, each prime a ``PrimeModulus``.
 """
 
 from __future__ import annotations
@@ -121,7 +124,7 @@ class PrimeModulus(int):
     # ``PrimeModulus._trusted(p)``: a modulus for a p already known to be
     # prime, such as a sieved one, built by ``int.__new__`` with the class
     # bound, so it skips the primality test that construction runs and costs
-    # no Python call: ``_prime_stream`` makes one per prime, and a method
+    # no Python call: ``primes_in_range`` makes one per prime, and a method
     # written in Python doubled the time of that loop.
     _trusted = classmethod(int.__new__)
 
@@ -199,8 +202,8 @@ _SIEVE_WINDOW = 1 << 16
 
 
 def _prime_stream(lo: int, hi: int):
-    """The primes in [lo, hi], ascending, each yielded as a ``PrimeModulus``
-    as it is found, so that it is not tested again.
+    """The primes in [lo, hi], ascending, each yielded as a plain int as it
+    is found; a caller takes them as primes and does not test them again.
 
     A narrow range, one where hi - lo times bit_length(hi)**2 is below
     48 * isqrt(hi) + 8192, is tested number by number with ``is_prime``,
@@ -227,7 +230,7 @@ def _prime_stream(lo: int, hi: int):
     # at 10^6, 380 at 10^7, 2,100 at 10^9 and 24,000 at 10^12; this rule
     # switches at 80, 140, 280, 1,700 and 30,000.
     if hi < _MR_BOUND and (hi - lo) * hi.bit_length() ** 2 < 48 * root + 8192:
-        yield from map(PrimeModulus._trusted, filter(is_prime, range(lo, hi + 1)))
+        yield from filter(is_prime, range(lo, hi + 1))
         return
     from itertools import compress  # a builtin module, loaded at start-up
 
@@ -246,12 +249,13 @@ def _prime_stream(lo: int, hi: int):
             first = max(q * q, start + -start % q)
             if first < end:
                 window[first - start :: q] = bytes(len(range(first, end, q)))
-        yield from map(PrimeModulus._trusted, compress(range(start, end), window))
+        yield from compress(range(start, end), window)
 
 
 def primes_in_range(lo: int, hi: int) -> list[PrimeModulus]:
-    """All primes in [lo, hi], ascending (``_prime_stream``)."""
-    return list(_prime_stream(lo, hi))
+    """All primes in [lo, hi], ascending (``_prime_stream``), each a
+    ``PrimeModulus`` built without a second primality test."""
+    return list(map(PrimeModulus._trusted, _prime_stream(lo, hi)))
 
 
 def _element_of_order(p: int, q: int, d: int, primes_of_d: list[int]) -> int:
@@ -339,10 +343,16 @@ def sum_three_unit_squares(
     the first candidate (1, 1), so they take no root at any p.  Any other
     candidate costs an integer square root, one modular power and, for
     residues, one square root of O(log p) powers; no table is built.  p
-    must be a prime >= 5 (``_prime_modulus``).
+    must be a prime >= 5 (``_prime_modulus``); p and the target are checked
+    here, once, and the search is ``_three_squares``.
     """
     p = _prime_modulus(p, 5)
-    t = _residue(target, p)
+    return _three_squares(_residue(target, p), p)
+
+
+def _three_squares(t: int, p: int) -> tuple[int, int, int] | None:
+    """``sum_three_unit_squares`` of t, already reduced into [0, p), for
+    a p already known to be a prime >= 5: neither is checked again."""
     half = (p - 1) // 2
     for t1 in range(1, p):
         s1 = (t - t1 * t1) % p

@@ -205,13 +205,11 @@ class TestLemma5:
             raise AssertionError("sieve allocated")
 
         monkeypatch.setattr(cli, "_prime_stream", no_sieve)
-        over = str(cli.LEMMA5_MAX + 1)
-        code, out, err = run(capsys, "lemma5", "--min", "5", "--max", over)
+        code, out, err = run(capsys, "lemma5", "--min", "5", "--max", "10000001")
         assert (code, out) == (2, "")
-        assert err == f"error: --max must be at most {cli.LEMMA5_MAX}, got {over}\n"
+        assert err == "error: --max must be at most 10000000, got 10000001\n"
         monkeypatch.setattr(cli, "_prime_stream", lambda lo, hi: iter(()))
-        at_cap = str(cli.LEMMA5_MAX)
-        assert run(capsys, "lemma5", "--min", "999990", "--max", at_cap)[0] == 0
+        assert run(capsys, "lemma5", "--min", "9999990", "--max", "10000000")[0] == 0
 
     def test_negative_brute_below_is_input_error(self, capsys):
         assert run(
@@ -654,12 +652,11 @@ class TestGroups:
             raise AssertionError("enumeration started")
 
         monkeypatch.setattr(cli, "_presentations", no_table)
-        over = str(cli.GROUPS_MAX_ORDER + 1)
-        code, out, err = run(capsys, "groups", "--max-order", over)
+        code, out, err = run(capsys, "groups", "--max-order", "1000001")
         assert (code, out) == (2, "")
-        assert err == f"error: --max-order must be at most {cli.GROUPS_MAX_ORDER}, got {over}\n"
+        assert err == "error: --max-order must be at most 1000000, got 1000001\n"
         monkeypatch.setattr(cli, "_presentations", lambda max_order: [])
-        assert run(capsys, "groups", "--max-order", str(cli.GROUPS_MAX_ORDER))[0] == 0
+        assert run(capsys, "groups", "--max-order", "1000000")[0] == 0
 
     def test_json_roundtrip(self, capsys):
         _, out, _ = run(capsys, "groups", "--max-order", "60", "--format", "json")

@@ -3,17 +3,23 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lensbordism.errors import DegeneratePair, ModulusMismatch, NotAUnit
+from lensbordism import cli, lens as lens_module, numtheory
+from lensbordism.errors import DegeneratePair, ModulusMismatch, NotAUnit, SearchExhausted
 from lensbordism.lens import (
     GeneratorPairResult,
     LensSpace,
     PontrjaginPair,
+    TraceStep,
     _canonical,
+    _candidates,
+    _dependence_free,
+    _generator_pair,
     canonical_form,
     find_generator_pair,
     independent,
@@ -25,8 +31,10 @@ from lensbordism.lens import (
 )
 from lensbordism.numtheory import (
     PrimeModulus,
+    _prime_stream,
     is_quadratic_residue,
     primes_in_range,
+    sum_three_unit_squares,
 )
 
 
@@ -489,3 +497,75 @@ class TestFindGeneratorPair:
         assert len(res.proof_trace) == 2  # stage i failed, stage ii won
         first = res.proof_trace[0]
         assert (first.stage, first.independent_ok) == ("i", False)
+
+
+def _generator_pair_with_trace(p):
+    """The search as it was before its trace moved to the public edge: a
+    ``TraceStep`` per candidate, built in the loop, with ``realized`` taken
+    from the two triples, and the first realized candidate wins.  Returns
+    (stage, q, r, certificate, weights_a, weights_b, proof_trace)."""
+    trace = []
+    for stage, q, r in _candidates(p):
+        ok, tested = _dependence_free(p, q, r)
+        wa = wb = None
+        if ok:
+            wa = sum_three_unit_squares(q % p, p)
+            wb = sum_three_unit_squares(r % p, p)
+        realized = wa is not None and wb is not None
+        trace.append(TraceStep(stage, q, r, tested, ok, realized))
+        if realized:
+            return stage, q, r, tested, wa, wb, tuple(trace)
+    raise SearchExhausted(p, trace)
+
+
+def test_search_matches_the_loop_that_built_its_trace_up_to_2_10_to_the_5():
+    """``find_generator_pair`` gives the old loop's result field by field,
+    ``proof_trace`` included, at every prime of [5, 2 * 10**5], and the
+    lean search's count of candidates tried is the length of that trace."""
+    for pm in primes_in_range(5, 2 * 10**5):
+        stage, q, r, certificate, wa, wb, trace = _generator_pair_with_trace(pm)
+        res = find_generator_pair(pm)
+        assert (res.p, res.first.weights, res.second.weights) == (pm, wa, wb)
+        assert (res.q, res.r, res.stage, res.certificate) == (q, r, stage, certificate)
+        assert res.proof_trace == trace, pm
+        assert _generator_pair(int(pm)) == (stage, q, r, certificate, wa, wb, len(trace))
+
+
+def test_search_and_worker_build_no_record_and_test_no_prime(monkeypatch):
+    """The per-prime ``lemma5`` path, oracle off, runs on the ints that the
+    stream yields: it builds no ``TraceStep`` and calls neither ``is_prime``
+    nor ``_prime_modulus``, in any module of the package (``PrimeModulus``
+    calls ``is_prime`` through ``numtheory``)."""
+    primes = list(_prime_stream(5, 10**4))
+    expected = [_generator_pair(p) for p in primes]
+
+    def refuse(*args):
+        raise AssertionError("called on the per-prime path")
+
+    monkeypatch.setattr(lens_module, "TraceStep", refuse)
+    for name in ("is_prime", "_prime_modulus"):
+        real = getattr(numtheory, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.partition(".")[0] == "lensbordism":
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, refuse)
+    assert [_generator_pair(p) for p in primes] == expected
+    entries = [cli._lemma5_worker(p, 0) for p in primes]
+    assert entries == [
+        (p, wa, wb, q, r, stage, certificate, False)
+        for p, (stage, q, r, certificate, wa, wb, _) in zip(primes, expected)
+    ]
+
+
+def test_exhausted_search_raises_with_every_candidate_in_its_trace(monkeypatch):
+    # no candidate is ever dependence-free, so the guard fires with the
+    # replayed trace of all p + 1 candidates
+    monkeypatch.setattr(lens_module, "_dependence_free", lambda p, q, r: (False, 0))
+    with pytest.raises(SearchExhausted) as info:
+        _generator_pair(7)
+    assert info.value.p == 7
+    # Q = 1 + j**2 mod 7 for j = 1, ..., 6
+    sweep = [("iii", q, 2, 0, False, False) for q in (2, 5, 3, 3, 5, 2)]
+    assert [tuple(step) for step in info.value.trace] == [
+        ("i", 3, 6, 0, False, False), ("ii", 3, 2, 0, False, False), *sweep
+    ]

@@ -336,13 +336,18 @@ class TestPrimeStream:
             assert [int(p) for p in _prime_stream(lo, hi)] == _trial_division_primes(lo, hi)
 
     def test_yields_trusted_moduli_without_a_primality_test(self, monkeypatch):
+        # the stream yields plain ints, and primes_in_range wraps each in a
+        # PrimeModulus; neither tests a sieved prime again
         def refuse(n):
             raise AssertionError("is_prime called")
 
         monkeypatch.setattr(numtheory, "is_prime", refuse)
         primes = list(_prime_stream(999000, 1000000))
         assert len(primes) == 65
-        assert all(type(p) is PrimeModulus for p in primes)
+        assert all(type(p) is int for p in primes)
+        moduli = primes_in_range(999000, 1000000)
+        assert moduli == primes
+        assert all(type(p) is PrimeModulus for p in moduli)
 
     def test_both_paths_around_the_crossover_up_to_10_to_the_12(self, monkeypatch):
         """Random windows of every width up to twice the crossover, and edge
@@ -372,7 +377,7 @@ class TestPrimeStream:
             for lo, hi in windows:
                 calls.clear()
                 primes = list(_prime_stream(lo, hi))
-                assert all(type(p) is PrimeModulus for p in primes)
+                assert all(type(p) is int for p in primes)
                 assert primes == _primes_by_division(lo, hi), (lo, hi)
                 paths.add("is_prime" if calls else "sieve")
             assert height == 10**2 or paths == {"is_prime", "sieve"}
