@@ -1,27 +1,31 @@
 """Batch command line front end.
 
 Each ``cmd_<name>`` handler runs its input checks, and every eager step
-that can raise an input error, then returns a ``Report``: the params as
-JSON text, an iterable of the entries and one text, one CSV and one JSON
-formatter per entry.  ``main`` streams it with ``_write_report`` to stdout
-or ``--out`` (``-`` is stdout) as text, CSV or JSON, entry by entry as
-they are computed, and builds only the format asked for.  JSON output is
-always the object {version, command, params, entries, summary}, byte for
-byte as the standard ``json`` module writes it with an indent of 2, and
-it is written by f-strings laid out as what they write.  Each handler
-writes its params (an int list through ``_json_list``); each command has
-its own entry writer (``_lemma5_json``, ``_invariants_json``,
+that can raise an input error, then returns a ``Report``, a named tuple
+that nothing changes once it is built: the params as JSON text, an
+iterable of the entries and one text, one CSV and one JSON formatter per
+entry.  ``lemma5`` and ``groups`` make their summary dict before the
+report, and their entries fill it in when they run out.  ``main``
+streams it with ``_write_report`` to stdout or ``--out`` (``-`` is
+stdout) as text, CSV or JSON, entry by entry as they are computed, and
+builds only the format asked for.  JSON output is always the object
+{version, command, params, entries, summary}, byte for byte as the
+standard ``json`` module writes it with an indent of 2, and it is
+written by f-strings laid out as what they write; strings are quoted by
+the C encoder of ``_json``, so only a ``lemma5`` failure record, made
+with ``json.dumps``, loads ``json`` itself.  Each handler writes its
+params (an int list through ``_json_list``); each command has its own
+entry writer (``_lemma5_json``, ``_invariants_json``,
 ``_independent_json``, ``_orders_json``, ``_orders_d3_json`` and
 ``_groups_json``, with ``_scalar`` for a value that may be a str, a bool
 or null); and ``_write_report`` writes the version, command, the frame
-around the entries and the summary, a flat dict of ints.
-Every entry is a plain tuple, its values in the order of its JSON keys,
-and each text and JSON writer unpacks it, so a key name is written once,
-in its command's JSON writer.  A CSV row is the tuple as ``_spread``
-spreads it, one column per item of a tuple value, except for ``groups``,
-whose entry is the walk's (m, n, r, sylow) as ``_presentations`` yields
-it.  A ``lemma5`` failure is its stderr text, made in the worker that
-found it.
+around the entries and the summary, a flat mapping of ints.  Every entry is
+a plain tuple, its values in the order of its JSON keys, and each text
+and JSON writer unpacks it, so a key name is written once, in its
+command's JSON writer.  A CSV row is the tuple as ``_spread`` spreads
+it, one column per item of a tuple value, except for ``groups``, whose
+entry is the walk's (m, n, r, sylow) as ``_presentations`` yields it.  A
+``lemma5`` failure is its stderr text, made in the worker that found it.
 
 ``invariants`` and ``independent`` check p and the weights once, by
 ``LensSpace``, and then work on ints, as ``lemma5`` does: the canonical
@@ -31,7 +35,7 @@ one place they build ``PontrjaginPair`` records.  A one-number ``lemma5``
 range is tested and searched before the report starts, with no prime
 stream, and only a text report formats its closing line.
 
-``main`` parses a call (``_parse``) in one of two ways, both from one
+``main`` parses a call in one of two ways, both from one
 table, ``_COMMANDS``, which holds each subcommand's help and options, each
 option as the keyword arguments of its ``add_argument`` call.  A
 well-formed call is parsed directly from that table (``_parse_direct``),
@@ -63,11 +67,11 @@ out of memory after the first byte.
 
 from __future__ import annotations
 
-import json
 import marshal
 import os
 import sys
-from types import SimpleNamespace
+from collections import namedtuple
+from types import MappingProxyType, SimpleNamespace
 
 from . import __version__
 from .errors import LensBordismError, SearchExhausted, Unspecified
@@ -123,7 +127,12 @@ BRUTE_BELOW_MAX = 10**4
 JOBS_PER_CORE = 4
 
 
-_quote = json.encoder.encode_basestring_ascii
+# the C function behind ``json.encoder``'s, with no ``json`` imported; the
+# pure-Python one where the interpreter has no ``_json``
+try:
+    from _json import encode_basestring_ascii as _quote
+except ImportError:
+    from json.encoder import encode_basestring_ascii as _quote
 
 
 def _scalar(value) -> str:
@@ -146,7 +155,12 @@ def _spread(entry: tuple) -> list:
     return [x for v in entry for x in (v if isinstance(v, tuple) else (v,))]
 
 
-class Report:
+class Report(
+    namedtuple(
+        "Report", "params entries to_text to_json fields to_row head tail summary stderr",
+        defaults=(_spread, "", "", MappingProxyType({"failures": 0}), ()),
+    )
+):
     """What one subcommand computes, for ``_write_report`` to stream.
 
     ``params`` is the report's params as JSON text, indented to sit in the
@@ -157,31 +171,16 @@ class Report:
     each tuple spread over one column per item); ``fields`` is the CSV
     header.  ``head`` is a text line before the entries and ``tail`` one
     after them, written only in text, with ``str.format_map`` over the
-    summary; either may be empty.  ``summary``, a dict of ints, defaults to
-    {"failures": 0}, and ``stderr``, the texts written to stderr one per
-    line, to a new empty list; a nonzero ``summary["failures"]`` makes the
-    exit code 1.  Iterating ``entries`` to its end may fill in ``summary``
-    and ``stderr``, so they are read only after it.
+    summary; either may be empty.  ``summary`` is a mapping of ints, by
+    default a read-only {"failures": 0}, and ``stderr`` the texts written to
+    stderr one per line, by default none; a nonzero ``summary["failures"]``
+    makes the exit code 1.  A report is never changed once built, but a
+    batch command hands it a summary dict and a failure list that its
+    ``entries`` fill in when they run out, so both are read only after the
+    entries.
     """
 
-    def __init__(
-        self,
-        params: str,
-        entries,
-        to_text,
-        to_json,
-        fields,
-        to_row=_spread,
-        head: str = "",
-        tail: str = "",
-        summary: dict | None = None,
-        stderr: list[str] | None = None,
-    ) -> None:
-        self.params, self.entries, self.fields = params, entries, fields
-        self.to_text, self.to_json, self.to_row = to_text, to_json, to_row
-        self.head, self.tail = head, tail
-        self.summary = {"failures": 0} if summary is None else summary
-        self.stderr = [] if stderr is None else stderr
+    __slots__ = ()
 
 
 class _Batched:
@@ -297,10 +296,13 @@ def _lemma5_worker(p: int, brute_below: int) -> tuple | str:
     (``_generator_pair``), building no record.  Only the oracle wraps p,
     untested, for the ``LensSpace``s whose pairs it checks.  An entry is
     (p, weights_a, weights_b, Q, R, stage, certificate, brute_checked), all
-    plain values, as ``marshal`` needs."""
+    plain values, as ``marshal`` needs.  ``json`` is imported only to write
+    a failure, so a report without one never loads it."""
     try:
         stage, q, r, certificate, weights_a, weights_b, _ = _generator_pair(p)
     except SearchExhausted as exc:
+        import json
+
         reason, detail = "search exhausted", {"trace": [step._asdict() for step in exc.trace]}
     else:
         entry = (p, weights_a, weights_b, q, r, stage, certificate, p <= brute_below)
@@ -311,6 +313,8 @@ def _lemma5_worker(p: int, brute_below: int) -> tuple | str:
         pair_b = pontrjagin_pair(LensSpace(pm, weights_b))
         if independent(pair_a, pair_b) and independent_bruteforce(pair_a, pair_b):
             return entry
+        import json
+
         reason, detail = "oracle disagreement", {"entry": json.loads(_lemma5_json(entry))}
     record = {"ok": False, "p": p, "reason": reason, **detail}
     return f"FAILURE p={p}: {reason}\n{json.dumps(record, indent=2)}"
@@ -473,18 +477,18 @@ def cmd_lemma5(ns) -> Report:
         results = _lemma5_results(ns.min, ns.max, ns.brute_below, jobs)
 
     failures: list[str] = []
+    summary = {"primes_checked": 0, "failures": 0}
 
     def entries():
         checked = 0
-        for result in results:
-            checked += 1
+        for checked, result in enumerate(results, 1):
             if type(result) is str:
                 failures.append(result)
             else:
                 yield result
-        report.summary = {"primes_checked": checked, "failures": len(failures)}
+        summary.update(primes_checked=checked, failures=len(failures))
 
-    report = Report(
+    return Report(
         f'{{\n    "min": {ns.min},\n    "max": {ns.max},\n'
         f'    "brute_below": {ns.brute_below}\n  }}',
         entries(),
@@ -496,9 +500,9 @@ def cmd_lemma5(ns) -> Report:
         ],
         head=f"generator pairs for primes in [{ns.min}, {ns.max}]",
         tail="primes_checked={primes_checked} failures={failures}",
+        summary=summary,
         stderr=failures,
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -757,14 +761,15 @@ def cmd_groups(ns) -> Report:
     if ns.max_order > GROUPS_MAX_ORDER:
         raise ValueError(f"--max-order must be at most {GROUPS_MAX_ORDER}, got {ns.max_order}")
     presentations = _presentations(ns.max_order)
+    summary = {"groups_listed": 0, "failures": 0}
 
     def entries():
         listed = 0
         for listed, presentation in enumerate(presentations, 1):
             yield presentation
-        report.summary = {"groups_listed": listed, "failures": 0}
+        summary["groups_listed"] = listed
 
-    report = Report(
+    return Report(
         f'{{\n    "max_order": {ns.max_order}\n  }}',
         entries(),
         _groups_text,
@@ -773,8 +778,8 @@ def cmd_groups(ns) -> Report:
         to_row=_groups_row,
         head=f"odd-order presentations with order <= {ns.max_order}",
         tail="groups_listed={groups_listed}",
+        summary=summary,
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -925,16 +930,10 @@ def _parse_direct(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=argv[0], **values)
 
 
-def _parse(argv: list[str]):
-    """``build_parser().parse_args(argv)``: ``_parse_direct`` where it gives
-    a namespace, else a full parser built for this call."""
-    ns = _parse_direct(argv)
-    return build_parser().parse_args(argv) if ns is None else ns
-
-
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        ns = _parse(sys.argv[1:] if argv is None else argv)
+        ns = _parse_direct(argv) or build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     # looked up on each call, so a replaced or wrapped handler is the one run

@@ -767,9 +767,10 @@ class TestFailurePolicy:
 def test_startup_loads_only_what_every_run_needs():
     """Importing the CLI, as every run does, and building its full parser,
     as help and errors do, loads no ``dataclasses`` or ``inspect`` (the
-    records are named tuples), no ``csv`` (imported where it is used) and no
-    process pool (the ``lemma5`` workers are forked).  Only the modules the
-    import adds count, not those ``site`` loaded before."""
+    records are named tuples), no ``csv`` (imported where it is used), no
+    ``json`` (strings are quoted by ``_json``'s C encoder) and no process
+    pool (the ``lemma5`` workers are forked).  Only the modules the import
+    adds count, not those ``site`` loaded before."""
     code = (
         "import sys; before = set(sys.modules); "
         "import lensbordism.cli as c; c.build_parser(); "
@@ -780,14 +781,15 @@ def test_startup_loads_only_what_every_run_needs():
     added = set(proc.stdout.split())
     assert "lensbordism.cli" in added
     assert not added & {
-        "dataclasses", "inspect", "csv", "concurrent.futures", "multiprocessing"
+        "dataclasses", "inspect", "csv", "json", "concurrent.futures", "multiprocessing"
     }
 
 
 def test_valid_call_imports_no_argparse():
     """A well-formed call, text or JSON, is parsed without ``argparse`` and
-    the ``gettext`` it loads; a call with an error still gets argparse's
-    usage line and exit code 2.  Only the modules the run adds count."""
+    the ``gettext`` it loads, and written without ``json``; a call with an
+    error still gets argparse's usage line and exit code 2.  Only the
+    modules the run adds count."""
     script = """
 import contextlib, io, sys
 before = set(sys.modules)
@@ -801,7 +803,7 @@ print(code, *sorted(set(sys.modules) - before))
         assert proc.returncode == 0, proc.stderr
         code, *added = proc.stdout.split()
         assert code == "0" and "lensbordism.cli" in added
-        assert not {"argparse", "gettext"} & set(added)
+        assert not {"argparse", "gettext", "json"} & set(added)
     proc = python("-m", "lensbordism", "orders", "--p", "5", "--bogus")
     assert proc.returncode == 2
     assert proc.stderr.startswith("usage: lensbordism [-h]")
@@ -816,9 +818,35 @@ def test_every_function_in_cli_has_type_hints_that_resolve():
     functions += [
         m for c in defined if isinstance(c, type) for m in vars(c).values() if inspect.isfunction(m)
     ]
-    assert {cli.build_parser, cli._parse, cli.main, cli.Report.__init__} <= set(functions)
+    assert {cli.build_parser, cli._parse_direct, cli.main, cli._Batched.__init__} <= set(functions)
     for function in functions:
         typing.get_type_hints(function)
+
+
+@pytest.mark.parametrize(
+    "args, counted",
+    [
+        (("lemma5", "--min", "5", "--max", "100"), {"primes_checked": 23, "failures": 0}),
+        (("groups", "--max-order", "60"), {"groups_listed": 34, "failures": 0}),
+    ],
+)
+def test_batch_report_is_a_tuple_whose_summary_its_entries_fill(args, counted):
+    """``lemma5`` and ``groups`` return a ``Report`` that is a named tuple,
+    so no field can be assigned, and hand it a summary dict, its keys in
+    report order, that stays the same object while the entries run and gets
+    its counts only when they end."""
+    ns = cli.build_parser().parse_args(args)
+    report = getattr(cli, "cmd_" + ns.command)(ns)
+    assert isinstance(report, tuple) and "__init__" not in vars(Report)
+    with pytest.raises(AttributeError):
+        report.summary = {}
+    summary = report.summary
+    assert list(summary) == list(counted) and not any(summary.values())
+    entries = iter(report.entries)
+    next(entries)
+    assert not any(summary.values())
+    list(entries)
+    assert report.summary is summary and summary == counted
 
 
 def test_memory_error_is_one_error_line(capsys, monkeypatch):

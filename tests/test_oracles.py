@@ -1,19 +1,23 @@
 """Independent oracles for the two bulk reports, over whole ranges.
 
 The checks share no code with the package: ``lemma5_problems`` checks
-``lemma5`` entries by quadratic reciprocity, and ``classes`` counts the
+``lemma5`` entries by quadratic reciprocity, ``lemma5_stage_problems``
+replays the search's candidates by Jacobi symbols to check that each entry
+holds the first one that is free of dependence, and ``classes`` counts the
 ``groups`` listing of one order from a closed formula, with no roots, no
 Chinese remainder theorem and no marking.  The package only produces what
-they check.  ``lemma5_problems`` also checks a report piped to it::
+they check.  Both ``lemma5`` checks also read a report piped to them::
 
     lensbordism lemma5 --min 5 --max 1000000 --format json | python -c '
     import json, sys; sys.path.insert(0, "tests")
-    from test_oracles import lemma5_problems
-    print(lemma5_problems(json.load(sys.stdin)["entries"]))'
+    from test_oracles import lemma5_problems, lemma5_stage_problems
+    entries = json.load(sys.stdin)["entries"]
+    print(lemma5_problems(entries), lemma5_stage_problems(entries))'
 """
 
 import json
 from collections import Counter
+from itertools import chain
 from math import gcd, lcm, prod
 
 import pytest
@@ -65,6 +69,32 @@ def lemma5_problems(entries) -> list[str]:
     return problems
 
 
+def lemma5_stage_problems(entries) -> list[str]:
+    """One line per ``lemma5`` entry whose stage, Q mod p or R mod p is not
+    the first candidate of the search that is free of dependence.  The
+    candidates are ("i", 3, 6), ("ii", 3, 2) and then, for j = 1, 2, ...,
+    ("iii", (1 + j*j) mod p, 2), or "iv" where that Q is 0.  A candidate is
+    free of dependence when exactly one of Q and R is 0 mod p, or when Q/R
+    is a non-residue, that is (Q/p)(R/p) = -1.  It holds an entry to what
+    the search gives, so it is kept apart from ``lemma5_problems``, which
+    also passes valid entries that the search would not give."""
+    problems = []
+    for e in entries:
+        p = e["p"]
+        got = (e["stage"], e["Q"] % p, e["R"] % p)
+        sweep = ((1 + j * j) % p for j in range(1, p))
+        candidates = [("i", 3, 6), ("ii", 3, 2)]
+        for stage, q, r in chain(candidates, (("iii" if q else "iv", q, 2) for q in sweep)):
+            if jacobi(q, p) * jacobi(r, p) == -1 or (q % p == 0) != (r % p == 0):
+                first = (stage, q % p, r % p)
+                break
+        else:
+            first = None
+        if got != first:
+            problems.append(f"p={p}: stage {got[0]}, Q = {got[1]}, R = {got[2]}, not {first}")
+    return problems
+
+
 # A stage i entry (Q/R = 3 mod 5, a non-residue) and an entry whose Q
 # vanishes (1 + 9 + 4 = 0 mod 7); each change below breaks one check.
 GOOD = [
@@ -93,6 +123,46 @@ def test_reciprocity_oracle_flags_a_tampered_entry(good, change):
     assert len(lemma5_problems([dict(GOOD[good], **change)])) == 1
 
 
+# The first three entries that ``lemma5 --min 5 --max 23`` writes at
+# stages i, ii and iii (of p = 23, j = 1 gives Q/R = 1, and j = 2 wins);
+# each change below breaks the stage check only.
+SEARCHED = [
+    {"p": 5, "weights_a": [1, 1, 1], "weights_b": [1, 1, 2], "Q": 3, "R": 6,
+     "stage": "i", "certificate": 3, "brute_checked": True},
+    {"p": 7, "weights_a": [1, 1, 1], "weights_b": [1, 2, 2], "Q": 3, "R": 2,
+     "stage": "ii", "certificate": 5, "brute_checked": True},
+    {"p": 23, "weights_a": [1, 1, 7], "weights_b": [1, 4, 10], "Q": 5, "R": 2,
+     "stage": "iii", "certificate": 14, "brute_checked": True},
+]
+
+
+@pytest.mark.parametrize(
+    "searched, change",
+    [
+        (0, {"stage": "ii"}),
+        (1, {"stage": "iii"}),
+        # the Q of j = 3, which is free of dependence too, but later
+        (2, {"weights_a": [1, 1, 10], "Q": 10, "certificate": 5}),
+        (2, {"stage": "iv"}),
+    ],
+    ids=["relabelled-i", "relabelled-ii", "later-j", "relabelled-iii"],
+)
+def test_stage_oracle_flags_a_tampered_entry(searched, change):
+    tampered = dict(SEARCHED[searched], **change)
+    assert lemma5_problems(SEARCHED) == lemma5_problems([tampered]) == []
+    assert lemma5_stage_problems(SEARCHED) == []
+    assert len(lemma5_stage_problems([tampered])) == 1
+
+
+def test_stage_oracle_is_apart_from_the_reciprocity_oracle():
+    """The synthetic p = 7 entry with Q = 0 mod 7 is valid, but the search
+    gives stage ii there, so only the stage check flags it."""
+    assert lemma5_problems(GOOD) == []
+    assert lemma5_stage_problems(GOOD) == [
+        "p=7: stage iv, Q = 0, R = 3, not ('ii', 3, 2)"
+    ]
+
+
 def test_jacobi_is_the_legendre_symbol_at_small_primes():
     for p in (3, 5, 7, 11, 13, 101):
         squares = {x * x % p for x in range(1, p)}
@@ -107,6 +177,7 @@ def test_lemma5_entries_pass_the_reciprocity_oracle(capsys):
     assert code == 0
     assert len(entries) == 9590
     assert lemma5_problems(entries) == []
+    assert lemma5_stage_problems(entries) == []
 
 
 def factor(n: int) -> dict[int, int]:
