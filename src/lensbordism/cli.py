@@ -114,12 +114,12 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a write to a closed 
 LEMMA5_MAX = 10**7
 GROUPS_MAX_ORDER = 10**6
 # Largest `--p` accepted with `independent --brute`: the oracle is O(p) time
-# and p bytes, and a whole CLI run on an independent pair at p = 999983 took
-# 0.32-0.40 s on the same machine.
+# and O(1) memory, and a whole CLI run on an independent pair at p = 999983
+# took 0.11-0.12 s on the same machine (``BENCH_38.json``).
 BRUTE_MAX_P = 10**6
 # Largest `lemma5 --brute-below` accepted over a `--max` above it: the oracle
 # runs on every prime up to the bound, about N**2 / ln N steps in all, and
-# [5, 10000] took 1.13-1.17 s on the same machine.
+# [5, 10000] took 0.34-0.36 s on the same machine (``BENCH_38.json``).
 BRUTE_BELOW_MAX = 10**4
 # Largest `lemma5 --jobs`, per core: all the workers are forked at once, and
 # 4 per core still admits the 3 workers that the determinism check runs on a

@@ -222,26 +222,21 @@ def independent_bruteforce(a: PontrjaginPair, b: PontrjaginPair) -> bool:
     unit.  At that b the second congruence reads k * Q - k**3 * l**-2 * R = 0,
     and multiplying by the unit l**2 / k turns it into
 
-        Q * l**2 = R * k**2   (mod p),
+        Q * l**2 = R * k**2   (mod p).
 
-    so the pairs are dependent exactly when some unit k and some unit l
-    satisfy it.  A table of p bytes marks R * k**2, and the pairs are
-    dependent exactly when some Q * l**2 is marked.  Since k and p - k have
-    the same square, k = 1, ..., (p - 1) / 2 already give every unit square:
-    the table holds every value the right side takes over units, and every
-    value of the left side is looked up, so the check is still exhaustive.
-    No residue symbol is used, so it stays independent of ``independent``.
-    Cost: O(p) time and p bytes (1 MB at p = 10**6).
+    Such units exist exactly when some unit u has R * u**2 = Q: u = k / l
+    turns the one into the other, and l = 1, k = u gives the converse.
+    Since u and p - u have the same square, u = 1, ..., (p - 1) / 2 already
+    give every unit square, so one scan of them is still exhaustive, and
+    Q = 0 or R = 0 needs no case of its own.  The scan takes no inverse and
+    no residue symbol, so it stays independent of ``independent``.
+    Cost: O(p) time and O(1) memory.
     """
     p = _common_prime_modulus(a, b)
     q = _slope(a)
     r = _slope(b)
-    half = (p + 1) // 2
-    marked = bytearray(p)
-    for k in range(1, half):
-        marked[r * k * k % p] = 1
-    for l in range(1, half):
-        if marked[q * l * l % p]:
+    for u in range(1, (p + 1) // 2):
+        if r * u * u % p == q:
             return False
     return True
 

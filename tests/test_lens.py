@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -319,6 +320,15 @@ class TestIndependent:
                 assert independent(A, A) is False
 
 
+def _replace_in_package(monkeypatch, name, real, replacement):
+    """Bind ``name`` to ``replacement`` in every module of the package that
+    binds it to ``real``."""
+    for module_name, module in list(sys.modules.items()):
+        if module_name.partition(".")[0] == "lensbordism":
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, replacement)
+
+
 def _independent_by_four_variable_scan(p, q, r):
     """Raw four-variable oracle: scan all unit (a, b, k, l)."""
     cubes = [k * k * k % p for k in range(p)]
@@ -392,6 +402,55 @@ class TestIndependentBruteforce:
             for r in range(p):
                 got = independent_bruteforce(pair(1, q, p), pair(1, r, p))
                 assert got == _independent_by_four_variable_scan(p, q, r)
+
+    def test_matches_independent_on_a_sample_below_5000(self):
+        # at every prime, every (q, r) drawn from 0 and three seeded units:
+        # 16 pairs a prime, (0, 0), (0, r) and (q, 0) among them
+        rng = random.Random(38)
+        for p in _prime_stream(5, 5000):
+            values = [0, *rng.sample(range(1, p), 3)]
+            pairs = [pair(1, v, p) for v in values]
+            for a in pairs:
+                for b in pairs:
+                    assert independent_bruteforce(a, b) == independent(a, b), (p, a, b)
+
+    def test_runs_in_constant_memory_at_the_cap(self):
+        # an independent pair scans every u up to (p - 1) / 2 at the largest
+        # prime that ``independent --brute`` accepts; a table of p bytes
+        # would peak near 1 MB
+        p = 999983
+        nonresidue = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) != 1)
+        a, b = pair(1, nonresidue, p), pair(1, 1, p)
+        tracemalloc.start()
+        try:
+            assert independent_bruteforce(a, b) is True
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_needs_no_residue_machinery(self, monkeypatch):
+        # every module of the package that binds one of these names gets a
+        # function that raises, so the oracle cannot lean on the fast path
+        reals = {
+            "_dependence_free": lens_module._dependence_free,
+            "is_quadratic_residue": numtheory.is_quadratic_residue,
+            "_root_mod": numtheory._root_mod,
+            "_element_of_order": numtheory._element_of_order,
+        }
+
+        def refuse(*args):
+            raise AssertionError("the oracle used the residue machinery")
+
+        for name, real in reals.items():
+            _replace_in_package(monkeypatch, name, real, refuse)
+        with pytest.raises(AssertionError):
+            independent(pair(1, 1, 7), pair(1, 2, 7))
+        for p in (7, 11, 13):
+            for q in range(p):
+                for r in range(p):
+                    got = independent_bruteforce(pair(1, q, p), pair(1, r, p))
+                    assert got == _independent_by_scan(p, q, r), (p, q, r)
 
 
 class TestFindGeneratorPair:
@@ -544,11 +603,7 @@ def test_search_and_worker_build_no_record_and_test_no_prime(monkeypatch):
 
     monkeypatch.setattr(lens_module, "TraceStep", refuse)
     for name in ("is_prime", "_prime_modulus"):
-        real = getattr(numtheory, name)
-        for module_name, module in list(sys.modules.items()):
-            if module_name.partition(".")[0] == "lensbordism":
-                if getattr(module, name, None) is real:
-                    monkeypatch.setattr(module, name, refuse)
+        _replace_in_package(monkeypatch, name, getattr(numtheory, name), refuse)
     assert [_generator_pair(p) for p in primes] == expected
     entries = [cli._lemma5_worker(p, 0) for p in primes]
     assert entries == [
